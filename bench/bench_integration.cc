@@ -1,17 +1,13 @@
-// Serial vs. parallel Algorithm 3 (core/parallel_integration.h).
+// Algorithm 3 (core/integration.h) on a scan-bound population.
 //
 // The greedy fixpoint's candidate similarity scans dominate integration
-// cost; the parallel driver shards them across a worker pool and must (a)
-// stay bit-identical to the serial driver — asserted here on every row —
-// and (b) approach the hardware's core count in speedup on scan-bound
-// workloads.  Rows report serial and 2/4-thread times; interpret the
-// speedup columns against the `hw_threads` column — on a single-core
-// machine the parallel driver can only pay handoff overhead.
+// cost.  Rows report the serial driver's median time next to the exact and
+// pruned scan counts, so the similarity fast path's share is visible;
+// interpret the times against the `hw_threads` column.
 #include <thread>
 
 #include "bench/bench_util.h"
 #include "core/integration.h"
-#include "core/parallel_integration.h"
 #include "util/random.h"
 
 namespace atypical {
@@ -19,12 +15,12 @@ namespace {
 
 // Scan-heavy micro-cluster population: a small key space keeps candidate
 // lists long and δsim = 0.7 keeps merges rare, so nearly all time goes to
-// the pairwise similarity scans the pool shards.  (δsim = 0.6, used here
+// the pairwise similarity scans.  (δsim = 0.6, used here
 // before, sits just under this population's snowball point: one merge makes
 // the winner similar enough to absorb everything, the run collapses to a
 // single macro-cluster, and the bench measures merge bookkeeping instead of
 // the candidate scanning it claims to — at 0.7 the same population yields
-// ~n²/2 scans and almost no merges, the shape both drivers are built for.)
+// ~n²/2 scans and almost no merges, the shape this bench is built for.)
 std::vector<AtypicalCluster> MakeMicros(int count, uint32_t key_space,
                                         int keys_per_cluster, uint64_t seed,
                                         ClusterIdGenerator* ids) {
@@ -49,29 +45,12 @@ std::vector<AtypicalCluster> MakeMicros(int count, uint32_t key_space,
 }
 
 double RunSerial(const std::vector<AtypicalCluster>& micros,
-                 const IntegrationParams& params, size_t* out_clusters,
-                 IntegrationStats* out_stats = nullptr) {
+                 const IntegrationParams& params,
+                 IntegrationStats* out_stats) {
   ClusterIdGenerator ids(1u << 20);
   bench::BenchTimer timer("integration.serial");
-  const auto macros = IntegrateClusters(micros, params, &ids, out_stats);
-  const double ms = timer.StopMillis();
-  *out_clusters = macros.size();
-  return ms;
-}
-
-double RunParallel(const std::vector<AtypicalCluster>& micros,
-                   const IntegrationParams& base, int threads,
-                   size_t expect_clusters) {
-  ParallelIntegrationParams params;
-  params.base = base;
-  params.num_threads = threads;
-  ClusterIdGenerator ids(1u << 20);
-  bench::BenchTimer timer("integration.parallel");
-  const auto macros = ParallelIntegrateClusters(micros, params, &ids);
-  const double ms = timer.StopMillis();
-  CHECK_EQ(macros.size(), expect_clusters)
-      << "parallel driver diverged from serial at " << threads << " threads";
-  return ms;
+  (void)IntegrateClusters(micros, params, &ids, out_stats);  // timed only
+  return timer.StopMillis();
 }
 
 }  // namespace
@@ -101,51 +80,34 @@ int main(int argc, char** argv) {
 
   const unsigned hw = std::thread::hardware_concurrency();
   bench::PrintHeader(
-      "bench_integration — parallel Algorithm 3",
-      StrPrintf("sharded candidate scanning vs. serial greedy fixpoint "
-                "(hardware threads: %u)",
+      "bench_integration — Algorithm 3",
+      StrPrintf("greedy fixpoint on scan-bound inputs (hardware threads: %u)",
                 hw),
-      "speedup at 4 threads approaches min(4, cores) on scan-bound inputs; "
       "the fast path prunes >= half the exact similarity scans");
 
   IntegrationParams base;
   base.delta_sim = 0.7;  // scan-bound: see MakeMicros comment
 
   bench::BenchSummary summary("bench_integration");
-  Table table({"clusters", "hw_threads", "serial (ms)", "2t (ms)", "4t (ms)",
-               "speedup 2t", "speedup 4t", "exact scans", "pruned"});
+  Table table({"clusters", "hw_threads", "serial (ms)", "exact scans",
+               "pruned"});
   for (const int n : row_sizes) {
     ClusterIdGenerator ids(1);
     const auto micros = MakeMicros(n, /*key_space=*/48,
                                    /*keys_per_cluster=*/24,
                                    /*seed=*/1234 + static_cast<uint64_t>(n),
                                    &ids);
-    size_t serial_clusters = 0;
     IntegrationStats serial_stats;
-    std::vector<double> serial_s, p2_s, p4_s;
+    std::vector<double> serial_s;
     for (int rep = 0; rep < reps; ++rep) {
-      serial_s.push_back(
-          RunSerial(micros, base, &serial_clusters, &serial_stats) / 1e3);
-      p2_s.push_back(RunParallel(micros, base, 2, serial_clusters) / 1e3);
-      p4_s.push_back(RunParallel(micros, base, 4, serial_clusters) / 1e3);
+      serial_s.push_back(RunSerial(micros, base, &serial_stats) / 1e3);
     }
     for (const double s : serial_s) {
       summary.AddSample(StrPrintf("serial.n=%d", n), s);
     }
-    for (const double s : p2_s) {
-      summary.AddSample(StrPrintf("parallel2.n=%d", n), s);
-    }
-    for (const double s : p4_s) {
-      summary.AddSample(StrPrintf("parallel4.n=%d", n), s);
-    }
     const double serial_ms = bench::MedianSeconds(serial_s) * 1e3;
-    const double p2_ms = bench::MedianSeconds(p2_s) * 1e3;
-    const double p4_ms = bench::MedianSeconds(p4_s) * 1e3;
     table.AddRow({StrPrintf("%d", n), StrPrintf("%u", hw),
-                  StrPrintf("%.1f", serial_ms), StrPrintf("%.1f", p2_ms),
-                  StrPrintf("%.1f", p4_ms),
-                  StrPrintf("%.2fx", serial_ms / std::max(p2_ms, 1e-6)),
-                  StrPrintf("%.2fx", serial_ms / std::max(p4_ms, 1e-6)),
+                  StrPrintf("%.1f", serial_ms),
                   StrPrintf("%llu",
                             (unsigned long long)serial_stats.exact_scans),
                   StrPrintf("%llu",
@@ -159,12 +121,5 @@ int main(int argc, char** argv) {
   summary.AddCounter("reps", static_cast<uint64_t>(reps));
   bench::EmitTable("bench_integration", table);
   summary.WriteJson();
-  if (hw < 4) {
-    std::printf(
-        "\nnote: only %u hardware thread(s) available — parallel rows "
-        "measure coordination overhead, not speedup; re-run on >=4 cores "
-        "for the headline number.\n",
-        hw);
-  }
   return bench::DumpStatsIfRequested(flags);
 }

@@ -177,9 +177,9 @@ int main(int argc, char** argv) {
 
   Regime regimes[] = {MakeDense(clusters), MakeLocalized(clusters),
                       MakeSkewed(clusters)};
-  // The drivers amortize sketch construction once per cluster outside the
-  // pair loop (EnsureSimilarityReady in the parallel prep pass); mirror
-  // that so the sweep times the per-pair cost, not one-time setup.
+  // Integration builds each cluster's sketch once, on first use, and reuses
+  // it for every later pair; build them up front so the sweep times the
+  // per-pair cost, not one-time setup.
   for (Regime& regime : regimes) {
     for (AtypicalCluster& c : regime.clusters) {
       c.spatial.EnsureSimilarityReady();

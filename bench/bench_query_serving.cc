@@ -2,7 +2,7 @@
 //
 // N worker threads — each with its own warm QueryScratch, the serving idiom
 // — replay a small repeating Q(W, T) pool through one shared QueryService
-// (snapshot isolation + result cache + kAuto strategy selection) while a
+// (snapshot isolation + result cache, Gui strategy) while a
 // writer thread keeps staging new days and publishing epochs.  Workers
 // optionally pace to a target aggregate QPS; unthrottled (the default) the
 // bench measures saturation throughput.  Latency lands in the same
@@ -129,7 +129,7 @@ int Main(int argc, char** argv) {
         const AnalyticalQuery& query =
             pool[(static_cast<uint64_t>(w) + i) % pool.size()];
         const serve::ServeReply reply =
-            service.ServeQuery(query, serve::ServeStrategy::kAuto, &scratch);
+            service.ServeQuery(query, serve::ServeStrategy::kGuided, &scratch);
         ++mine.requests;
         if (reply.cache_hit) ++mine.cache_hits;
         if (i % 64 == 0) {
@@ -137,7 +137,8 @@ int Main(int argc, char** argv) {
           // single-threaded run on the same snapshot.
           ++mine.identity_checks;
           const QueryResult direct =
-              reply.snapshot->engine.Run(query, reply.strategy, &scratch);
+              reply.snapshot->engine.Run(query, QueryStrategy::kGuided,
+                                         &scratch);
           if (!SameAnswer(*reply.result, direct)) ++mine.identity_failures;
         }
       }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Architecture-conformance check: the src/ #include graph obeys the layer DAG.
 
-Every headline guarantee in this repo (bit-identical parallel integration,
+Every headline guarantee in this repo (bit-identical streamed integration,
 prune-is-a-proof similarity, damaged==clean-restricted degradation) rests on
 the core staying deterministic and the layer boundaries staying auditable.
 This check makes the architecture mechanical instead of tribal:

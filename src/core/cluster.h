@@ -265,7 +265,7 @@ class ClusterIdGenerator {
 
   ClusterId Next() { return next_.fetch_add(1, std::memory_order_relaxed); }
 
-  // Guarantees all future ids exceed `id` (used when installing persisted
+  // Guarantees all future ids exceed `id` (used when installing pre-built
   // clusters next to freshly generated ones).
   void EnsureAbove(ClusterId id) {
     ClusterId current = next_.load(std::memory_order_relaxed);

@@ -25,6 +25,7 @@ void AtypicalForest::AddDay(int day,
   }
   std::vector<AtypicalCluster> micros = RetrieveMicroClusters(
       records, *network_, grid_, params_.retrieval, &ids_);
+  CompactForSharing(&micros);
 
   static obs::Counter* const days_added =
       obs::Registry()->GetCounter("forest.days_added");
@@ -137,7 +138,10 @@ std::vector<AtypicalCluster> AtypicalForest::IntegrateRange(
     input.push_back(WithTemporalKeyMode(*micro, grid_,
                                         TemporalKeyMode::kTimeOfDay));
   }
-  return IntegrateClusters(std::move(input), params_.integration, &ids_);
+  std::vector<AtypicalCluster> macros =
+      IntegrateClusters(std::move(input), params_.integration, &ids_);
+  CompactForSharing(&macros);
+  return macros;
 }
 
 size_t AtypicalForest::MaterializeWeeks() {
@@ -233,30 +237,22 @@ void AtypicalForest::AdvanceIdsPast(
   ids_.EnsureAbove(max_id);
 }
 
+void AtypicalForest::CompactForSharing(
+    std::vector<AtypicalCluster>* clusters) {
+  for (const AtypicalCluster& c : *clusters) {
+    c.spatial.EnsureCompact();
+    c.temporal.EnsureCompact();
+  }
+}
+
 void AtypicalForest::InstallDay(int day,
                                 std::vector<AtypicalCluster> micros) {
   CHECK(!micros_by_day_.contains(day)) << "day " << day << " already present";
   AdvanceIdsPast(micros);
+  CompactForSharing(&micros);
   num_micros_ += micros.size();
   day_versions_[day] = ++version_;
   micros_by_day_.emplace(day, std::move(micros));
-}
-
-void AtypicalForest::InstallWeek(int week,
-                                 std::vector<AtypicalCluster> macros) {
-  AdvanceIdsPast(macros);
-  // Installing a level asserts it is consistent with the days installed so
-  // far (the persistence format saves levels and leaves from one forest
-  // state); days mutated after this install make it stale again.
-  weeks_version_ = version_;
-  macros_by_week_[week] = std::move(macros);
-}
-
-void AtypicalForest::InstallMonth(int month,
-                                  std::vector<AtypicalCluster> macros) {
-  AdvanceIdsPast(macros);
-  months_version_ = version_;
-  macros_by_month_[month] = std::move(macros);
 }
 
 bool AtypicalForest::DaysMutatedSince(int first_day, int last_day,

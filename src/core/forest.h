@@ -92,7 +92,7 @@ class AtypicalForest {
   // Same per `days_per_month`-day month.
   size_t MaterializeMonths(int days_per_month);
   // Month length used by MaterializeMonths; 0 when months were never
-  // materialized in this process (e.g. a freshly loaded forest).
+  // materialized.
   int month_days() const { return month_days_; }
 
   bool HasWeek(int week) const { return macros_by_week_.contains(week); }
@@ -113,18 +113,16 @@ class AtypicalForest {
   // publishes (DESIGN §16).
   uint64_t version() const { return version_; }
   // True when some day in the week's/month's span mutated after the level
-  // was last materialized (or installed).  Weeks/months that were never
+  // was last materialized.  Weeks/months that were never
   // materialized are not stale — they are simply absent.
   ATYPICAL_HOT bool WeekIsStale(int week) const;
   ATYPICAL_HOT bool MonthIsStale(int month) const;
 
-  // ---- persistence support (storage::LoadForest) ----
-  // Installs pre-built clusters directly, bypassing retrieval/integration.
-  // The id generator is advanced past every installed cluster id so new
-  // clusters never collide with persisted ones.
+  // Installs a day's pre-built micro-clusters directly, bypassing
+  // retrieval (e.g. leaves finalized by an IncrementalIntegrator).  The id
+  // generator is advanced past every installed cluster id and micro id so
+  // new clusters never collide with installed ones.
   void InstallDay(int day, std::vector<AtypicalCluster> micros);
-  void InstallWeek(int week, std::vector<AtypicalCluster> macros);
-  void InstallMonth(int month, std::vector<AtypicalCluster> macros);
 
   // ---- degradation provenance ----
   // Accumulates damage metadata for `day` (fields add up across calls, so
@@ -146,6 +144,11 @@ class AtypicalForest {
   // Moves the id generator past every id in `clusters`.
   void AdvanceIdsPast(const std::vector<AtypicalCluster>& clusters);
 
+  // Compacts the feature vectors of clusters about to be stored.  Snapshot
+  // readers share stored clusters read-only (DESIGN §8); a still-dirty
+  // vector would be sorted under const by whichever reader touched it first.
+  static void CompactForSharing(std::vector<AtypicalCluster>* clusters);
+
   // Any day in [first_day, last_day] mutated after `level_version`?
   bool DaysMutatedSince(int first_day, int last_day,
                         uint64_t level_version) const;
@@ -162,7 +165,7 @@ class AtypicalForest {
   int month_days_ = 0;
   // Mutation versioning: version_ counts day mutations, day_versions_ maps
   // each day to the version of its last mutation, and the per-level stamps
-  // record the version the level was materialized (or installed) at.
+  // record the version the level was materialized at.
   uint64_t version_ = 0;
   std::map<int, uint64_t> day_versions_;
   uint64_t weeks_version_ = 0;

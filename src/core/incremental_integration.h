@@ -21,8 +21,7 @@
 // integration_internal::GreedyFixpoint the batch driver uses.  The output
 // is therefore bit-identical — cluster ids included — to
 // RetrieveMicroClusters + IntegrateClusters over the same records
-// (property-tested across balance functions × δsim × permutations ×
-// serial/parallel batch drivers).
+// (property-tested across balance functions × δsim × permutations).
 //
 // Id discipline: the builder and all provisional online merges draw from a
 // private scratch generator (`scratch_ids()`, starting at 2^40) so the real

@@ -1,4 +1,4 @@
-// Shared internals of Algorithm 3's serial and parallel drivers.
+// Shared internals of Algorithm 3's batch and incremental drivers.
 //
 // The inverted candidate index restricts pairwise similarity checks to
 // cluster pairs sharing at least one spatial or temporal key — disjoint
@@ -37,8 +37,7 @@ namespace integration_internal {
 // posting.  Results are unchanged: Candidates() already dedups via
 // last_seen_ and filters alive[].
 //
-// Not thread-safe; the parallel driver only queries it from the
-// coordinating thread.
+// Not thread-safe.
 class CandidateIndex {
  public:
   explicit CandidateIndex(size_t num_slots) : last_seen_(num_slots, 0) {

@@ -11,7 +11,7 @@
 //   accepted->Increment();
 //
 // Metric naming scheme (see DESIGN.md §9): lowercase dotted paths rooted at
-// the subsystem — "ingest.accepted", "integration.parallel.merges",
+// the subsystem — "ingest.accepted", "integration.merges",
 // "query.seconds".  Histograms that record durations end in ".seconds" and
 // use BucketLayout::Latency(); histograms of sizes/counts use
 // BucketLayout::Counts().

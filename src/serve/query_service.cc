@@ -9,41 +9,9 @@
 namespace atypical {
 namespace serve {
 
-const char* ServeStrategyName(ServeStrategy strategy) {
-  switch (strategy) {
-    case ServeStrategy::kAll:
-      return "All";
-    case ServeStrategy::kPrune:
-      return "Pru";
-    case ServeStrategy::kGuided:
-      return "Gui";
-    case ServeStrategy::kAuto:
-      return "Auto";
-  }
-  return "unknown";
-}
-
-QueryStrategy ToQueryStrategy(ServeStrategy strategy) {
-  switch (strategy) {
-    case ServeStrategy::kAll:
-      return QueryStrategy::kAll;
-    case ServeStrategy::kPrune:
-      return QueryStrategy::kPrune;
-    case ServeStrategy::kGuided:
-      return QueryStrategy::kGuided;
-    case ServeStrategy::kAuto:
-      break;
-  }
-  LOG(FATAL) << "kAuto resolves inside the service, not here";
-  return QueryStrategy::kGuided;
-}
-
 QueryService::QueryService(const ServingForest* serving,
                            const ServeOptions& options)
-    : serving_(serving),
-      options_(options),
-      cache_(options.cache_entries),
-      selector_(options.adaptive) {
+    : serving_(serving), cache_(options.cache_entries) {
   CHECK(serving != nullptr);
 }
 
@@ -58,8 +26,6 @@ ServeReply QueryService::ServeQuery(const AnalyticalQuery& query,
                                     QueryScratch* scratch) {
   static obs::Counter* const requests =
       obs::Registry()->GetCounter("serve.requests");
-  static obs::Counter* const auto_requests =
-      obs::Registry()->GetCounter("serve.auto_requests");
   static obs::Histogram* const request_seconds =
       obs::Registry()->GetHistogram("serve.request_seconds");
   obs::TraceSpan span(request_seconds);
@@ -68,15 +34,6 @@ ServeReply QueryService::ServeQuery(const AnalyticalQuery& query,
   ServeReply reply;
   reply.snapshot = serving_->AcquireSnapshot();
   const ForestSnapshot& snap = *reply.snapshot;
-
-  // Resolve kAuto before building the cache key, so an auto-routed query
-  // and the same query issued with the explicit strategy share one entry.
-  if (strategy == ServeStrategy::kAuto) {
-    auto_requests->Add(1);
-    reply.strategy = selector_.ChooseStrategy();
-  } else {
-    reply.strategy = ToQueryStrategy(strategy);
-  }
 
   // Epoch advance: lazily collect cache entries from epochs no new request
   // can key into.  The epoch inside the key already guarantees correctness;
@@ -89,20 +46,15 @@ ServeReply QueryService::ServeQuery(const AnalyticalQuery& query,
   }
 
   const QueryCacheKey key = QueryCacheKey::Make(
-      query, snap.engine.options().significance.delta_s, reply.strategy,
-      snap.epoch);
+      query, snap.engine.options().significance.delta_s, strategy, snap.epoch);
   if (std::shared_ptr<const QueryResult> cached = cache_.FindCached(key)) {
     reply.result = std::move(cached);
     reply.cache_hit = true;
     return reply;
   }
 
-  auto result = std::make_shared<QueryResult>(
-      snap.engine.Run(query, reply.strategy, scratch));
-  // Cache hits skip this on purpose: a hit's cost measures the cache, not
-  // the strategy.
-  selector_.ObserveCost(reply.strategy, result->cost);
-  reply.result = std::move(result);
+  reply.result = std::make_shared<QueryResult>(
+      snap.engine.Run(query, strategy, scratch));
   cache_.StoreCached(key, reply.result);
   return reply;
 }

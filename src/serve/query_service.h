@@ -1,15 +1,16 @@
-// The concurrent query front-end (DESIGN §16): snapshot acquisition, result
-// caching and adaptive strategy selection behind one call.
+// The concurrent query front-end (DESIGN §16): snapshot acquisition and
+// result caching behind one call.
 //
-//   ServeReply r = service.ServeQuery(query, ServeStrategy::kAuto, &scratch);
+//   ServeReply r = service.ServeQuery(query, ServeStrategy::kGuided, &scratch);
 //
 // ServeQuery is safe from any number of threads concurrently with the
 // single writer publishing new epochs through the ServingForest.  The
 // serving contract — property-tested and TSan-pounded — is that every reply
 // is bit-identical to a single-threaded, uncached
-// `reply.snapshot->engine.Run(query, reply.strategy)` (timings and the
-// shared obs counters excepted): caching, adaptivity and concurrency are
-// performance features, never answer-changing ones.
+// `reply.snapshot->engine.Run(query, strategy)` (timings and the shared obs
+// counters excepted): caching and concurrency are performance features,
+// never answer-changing ones.  The service runs exactly the strategy the
+// caller asked for, so an answer never depends on earlier traffic.
 #ifndef ATYPICAL_SERVE_QUERY_SERVICE_H_
 #define ATYPICAL_SERVE_QUERY_SERVICE_H_
 
@@ -18,27 +19,23 @@
 #include <memory>
 
 #include "core/query.h"
-#include "serve/adaptive.h"
 #include "serve/result_cache.h"
 #include "serve/snapshot.h"
 
 namespace atypical {
 namespace serve {
 
-// The query strategies a client may request: the engine's three, plus kAuto
-// — let the service pick per query from what it has learned.
-enum class ServeStrategy : uint8_t { kAll, kPrune, kGuided, kAuto };
+// A served query runs one of the engine's strategies; the alias keeps the
+// serving API's spelling.
+using ServeStrategy = QueryStrategy;
 
-const char* ServeStrategyName(ServeStrategy strategy);
-
-// The engine strategy behind a ServeStrategy; dies on kAuto (which only the
-// service can resolve).
-QueryStrategy ToQueryStrategy(ServeStrategy strategy);
+inline QueryStrategy ToQueryStrategy(ServeStrategy strategy) {
+  return strategy;
+}
 
 struct ServeOptions {
   // Result-cache capacity in entries; 0 disables caching.
   size_t cache_entries = 1024;
-  AdaptiveOptions adaptive;
 };
 
 struct ServeReply {
@@ -48,13 +45,11 @@ struct ServeReply {
   // caller re-run the query against exactly this state (the bit-identity
   // tests do) and pins the epoch alive until the reply is dropped.
   std::shared_ptr<const ForestSnapshot> snapshot;
-  // The engine strategy actually run (kAuto resolved).
-  QueryStrategy strategy = QueryStrategy::kGuided;
   bool cache_hit = false;
 };
 
-// Stateless per query apart from the cache and the adaptive model; one
-// instance serves all threads.
+// Stateless per query apart from the cache; one instance serves all
+// threads.
 class QueryService {
  public:
   // `serving` must outlive the service.
@@ -63,10 +58,10 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Answers Q(W, T) from the current epoch: acquire snapshot → resolve
-  // strategy → probe cache → on miss, run the engine, feed the adaptive
-  // model, store the result.  `scratch` is the caller thread's reusable
-  // query scratch (one per worker; see QueryScratch).
+  // Answers Q(W, T) with `strategy` from the current epoch: acquire
+  // snapshot → probe cache → on miss, run the engine and store the result.
+  // `scratch` is the caller thread's reusable query scratch (one per
+  // worker; see QueryScratch).
   ServeReply ServeQuery(const AnalyticalQuery& query, ServeStrategy strategy,
                         QueryScratch* scratch);
 
@@ -74,17 +69,11 @@ class QueryService {
   ServeReply ServeQuery(const AnalyticalQuery& query, ServeStrategy strategy);
 
   QueryResultCache::CacheTotals cache_totals() const { return cache_.totals(); }
-  AdaptiveStrategySelector::StrategyStats strategy_stats(
-      QueryStrategy strategy) const {
-    return selector_.StatsFor(strategy);
-  }
   const ServingForest* serving() const { return serving_; }
 
  private:
   const ServingForest* serving_;
-  ServeOptions options_;
   QueryResultCache cache_;
-  AdaptiveStrategySelector selector_;
   // Highest epoch any request has seen; advancing it triggers the lazy GC
   // of older epochs' cache entries.
   std::atomic<uint64_t> gc_epoch_{0};

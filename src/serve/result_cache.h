@@ -27,7 +27,7 @@ namespace atypical {
 namespace serve {
 
 // Everything that determines a query's answer: W, T, the significance
-// density δs, the (resolved, never kAuto) strategy, and the snapshot epoch.
+// density δs, the strategy, and the snapshot epoch.
 struct QueryCacheKey {
   double min_x = 0, min_y = 0, max_x = 0, max_y = 0;  // W
   int first_day = 0, last_day = 0;                    // T

@@ -5,7 +5,7 @@
 // The static effect analysis (scripts/check_effects.py) builds a call graph
 // over src/ and gates every annotated function with three lint checks:
 //
-//   AL013 hot-path-no-block   — must not reach util::Mutex / CondVar / joins
+//   AL013 hot-path-no-block   — must not reach util::Mutex or thread joins
 //   AL014 hot-path-no-io      — must not reach streams, stdio, or LOG(...)
 //   AL015 hot-path-alloc-budget — allocation must be budgeted: either absent
 //                                 or grandfathered in scripts/effects_ratchet

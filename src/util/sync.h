@@ -1,10 +1,9 @@
 // Thread-safety-annotated synchronization primitives.
 //
-// Thin wrappers over std::mutex / std::condition_variable that carry the
-// Clang capability annotations from thread_annotations.h, so all shared
-// state in the repo can be declared ATYPICAL_GUARDED_BY(mu_) and verified
-// at compile time under `-Wthread-safety` (and at run time under
-// `-DATYPICAL_TSAN=ON`).
+// Thin wrappers over std::mutex that carry the Clang capability annotations
+// from thread_annotations.h, so all shared state in the repo can be declared
+// ATYPICAL_GUARDED_BY(mu_) and verified at compile time under
+// `-Wthread-safety` (and at run time under `-DATYPICAL_TSAN=ON`).
 //
 //   Mutex mu_;
 //   int queue_depth_ ATYPICAL_GUARDED_BY(mu_) = 0;
@@ -12,7 +11,6 @@
 //   void Push() {
 //     MutexLock lock(&mu_);
 //     ++queue_depth_;          // ok: lock held
-//     cv_.Signal();
 //   }
 //
 // Raw std::mutex must not be used for new shared state — the analysis
@@ -20,7 +18,6 @@
 #ifndef ATYPICAL_UTIL_SYNC_H_
 #define ATYPICAL_UTIL_SYNC_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #include "util/thread_annotations.h"
@@ -38,9 +35,6 @@ class ATYPICAL_CAPABILITY("mutex") Mutex {
   void Unlock() ATYPICAL_RELEASE() { mu_.unlock(); }
   bool TryLock() ATYPICAL_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  // For CondVar::Wait; not part of the public locking API.
-  std::mutex& native_handle() { return mu_; }
-
  private:
   std::mutex mu_;
 };
@@ -57,29 +51,6 @@ class ATYPICAL_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* const mu_;
-};
-
-// Condition variable bound to the annotated Mutex.  Wait() requires the
-// lock by annotation, mirroring the std contract.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  // Atomically releases *mu and blocks until notified; re-acquires before
-  // returning.  Spurious wakeups possible — always wait in a predicate loop.
-  void Wait(Mutex* mu) ATYPICAL_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu->native_handle(), std::adopt_lock);
-    cv_.wait(lock);
-    lock.release();  // caller still owns the mutex, as the annotation says
-  }
-
-  void Signal() { cv_.notify_one(); }
-  void SignalAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace atypical

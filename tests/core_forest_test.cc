@@ -1,5 +1,7 @@
 #include "core/forest.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "analytics/report.h"
@@ -210,6 +212,30 @@ TEST_F(ForestTest, InstallDayStaysStrictOnDuplicates) {
   // exactly-once contract.
   forest_.AddRecords(records_);
   EXPECT_DEATH(forest_.InstallDay(0, {}), "already present");
+}
+
+TEST_F(ForestTest, InstalledForestKeepsGeneratingFreshIds) {
+  // A forest rebuilt from pre-built leaves must hand out ids above every
+  // installed cluster id and every micro id those clusters carry, so new
+  // clusters never collide with installed ones.
+  forest_.AddRecords(records_);
+  AtypicalForest installed(workload_->sensors.get(),
+                           workload_->gen_config.time_grid,
+                           analytics::DefaultForestParams());
+  ClusterId max_id = 0;
+  for (int day : forest_.Days()) {
+    for (const AtypicalCluster& c : forest_.MicrosOfDay(day)) {
+      max_id = std::max(max_id, c.id);
+    }
+    installed.InstallDay(day, forest_.MicrosOfDay(day));
+  }
+  EXPECT_GT(installed.ids()->Next(), max_id);
+
+  AtypicalCluster merged;
+  merged.id = 1;
+  merged.micro_ids = {max_id + 10, max_id + 20};
+  installed.InstallDay(100, {merged});
+  EXPECT_GT(installed.ids()->Next(), max_id + 20);
 }
 
 TEST_F(ForestTest, DeathOnWrongDayRecords) {

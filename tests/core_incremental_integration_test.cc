@@ -1,5 +1,5 @@
 // IncrementalIntegrator::Finalize() must be a bit-identical drop-in for the
-// batch Algorithm 3 drivers — same partition, same features, same cluster
+// batch Algorithm 3 driver — same partition, same features, same cluster
 // ids — no matter how the micro-clusters arrived.  The online state itself
 // is only guaranteed to be *a* fixpoint (no alive pair above δsim), not the
 // batch partition; these tests pin both contracts, plus the budget, scratch
@@ -12,7 +12,6 @@
 
 #include "core/incremental_integration.h"
 #include "core/integration.h"
-#include "core/parallel_integration.h"
 #include "core/similarity.h"
 #include "util/random.h"
 
@@ -152,24 +151,6 @@ std::vector<EquivalenceCase> MakeCases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, IncrementalEquivalenceTest,
                          ::testing::ValuesIn(MakeCases()));
-
-TEST(IncrementalIntegrationTest, MatchesParallelBatchDriver) {
-  std::vector<AtypicalCluster> micros = RandomMicros(100, 14, 99);
-  IntegrationParams params;
-
-  std::vector<AtypicalCluster> batch_micros = micros;
-  ClusterIdGenerator parallel_ids(1);
-  Renumber(&batch_micros, &parallel_ids);
-  ParallelIntegrationParams pparams;
-  pparams.base = params;
-  pparams.num_threads = 3;
-  pparams.min_shard_candidates = 4;
-  const auto parallel =
-      ParallelIntegrateClusters(batch_micros, pparams, &parallel_ids);
-
-  ClusterIdGenerator inc_ids(1);
-  ExpectIdentical(parallel, StreamAndFinalize(micros, params, &inc_ids));
-}
 
 TEST(IncrementalIntegrationTest, PermutedArrivalsStayEquivalent) {
   std::vector<AtypicalCluster> micros = RandomMicros(90, 12, 4242);

@@ -13,7 +13,6 @@
 
 #include "core/integration.h"
 #include "core/integration_internal.h"
-#include "core/parallel_integration.h"
 #include "core/similarity.h"
 #include "util/random.h"
 
@@ -130,30 +129,6 @@ TEST(SimilarityFastPathPropertyTest, BitIdenticalWithoutCandidateIndex) {
   params.delta_sim = 0.4;
   const auto [fast, exact] = RunFastAndExact(micros, params);
   ExpectIdentical(fast, exact);
-}
-
-TEST(SimilarityFastPathPropertyTest, ParallelDriverBitIdentical) {
-  ClusterIdGenerator ids(1);
-  const std::vector<AtypicalCluster> micros = RandomMicros(100, 12, 5, 5, &ids);
-  for (const double delta_sim : {0.3, 0.6}) {
-    ParallelIntegrationParams params;
-    params.base.delta_sim = delta_sim;
-    params.num_threads = 3;
-    params.min_shard_candidates = 4;
-
-    params.base.use_similarity_fast_path = true;
-    ClusterIdGenerator fast_ids(100000);
-    IntegrationStats fast_stats;
-    const auto fast =
-        ParallelIntegrateClusters(micros, params, &fast_ids, &fast_stats);
-
-    params.base.use_similarity_fast_path = false;
-    ClusterIdGenerator exact_ids(100000);
-    const auto exact =
-        ParallelIntegrateClusters(micros, params, &exact_ids);
-
-    ExpectIdentical(fast, exact);
-  }
 }
 
 TEST(SimilarityFastPathPropertyTest, FastPathPrunesTheScanBoundSeedWorkload) {

@@ -1,6 +1,5 @@
 // Shuffle-the-bucket-count regression (DESIGN §13): the analyze pipeline —
-// retrieval (Algorithm 1), serial and parallel integration (Algorithm 3),
-// cube build — must produce bit-identical results while unordered-container
+// retrieval (Algorithm 1), integration (Algorithm 3), cube build — must produce bit-identical results while unordered-container
 // hash layouts are perturbed underneath it via PerturbedReserve.  This is
 // the runtime counterpart of the AL009/AL012 static checks: if an iteration
 // order ever leaks into ids, output, or float accumulation again, the
@@ -17,7 +16,6 @@
 
 #include "core/event_retrieval.h"
 #include "core/integration.h"
-#include "core/parallel_integration.h"
 #include "cube/cube.h"
 #include "gen/workload.h"
 #include "util/hash_perturb.h"
@@ -54,7 +52,6 @@ void AppendCluster(const AtypicalCluster& c, std::ostringstream* out) {
 
 struct PipelineFingerprint {
   std::string serial;
-  std::string parallel;
   std::string cube;
 };
 
@@ -75,14 +72,6 @@ PipelineFingerprint RunPipeline() {
   const std::vector<AtypicalCluster> serial =
       IntegrateClusters(micros, base, &serial_ids);
 
-  ParallelIntegrationParams parallel_params;
-  parallel_params.base = base;
-  parallel_params.num_threads = 4;
-  parallel_params.min_shard_candidates = 4;  // force the pool path
-  ClusterIdGenerator parallel_ids(100000);
-  const std::vector<AtypicalCluster> parallel =
-      ParallelIntegrateClusters(micros, parallel_params, &parallel_ids);
-
   const cube::BottomUpCube cube =
       cube::BottomUpCube::FromAtypical(records, *workload->regions, grid);
 
@@ -90,9 +79,6 @@ PipelineFingerprint RunPipeline() {
   std::ostringstream s;
   for (const AtypicalCluster& c : serial) AppendCluster(c, &s);
   fp.serial = s.str();
-  std::ostringstream p;
-  for (const AtypicalCluster& c : parallel) AppendCluster(c, &p);
-  fp.parallel = p.str();
   std::ostringstream q;
   q << cube.num_cells() << '|' << cube.ByteSize() << '|';
   const auto num_regions =
@@ -134,9 +120,6 @@ TEST_F(DeterminismRegressionTest, AnalyzeBitIdenticalAcrossHashLayouts) {
     const PipelineFingerprint run = RunPipeline();
     EXPECT_EQ(baseline.serial, run.serial)
         << "serial integration output depends on hash layout (perturbation "
-        << perturbation << ")";
-    EXPECT_EQ(baseline.parallel, run.parallel)
-        << "parallel integration output depends on hash layout (perturbation "
         << perturbation << ")";
     EXPECT_EQ(baseline.cube, run.cube)
         << "cube severities depend on hash layout (perturbation "

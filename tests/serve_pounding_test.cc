@@ -1,5 +1,5 @@
 // Many-readers / one-writer pounding: reader threads serve a repeating query
-// mix (cache hits and misses, explicit and kAuto strategies) while the
+// mix (cache hits and misses, All/Pru/Gui in rotation) while the
 // writer keeps staging new days, re-materializing levels and publishing
 // epochs.  Every reply must be bit-identical to an uncached single-threaded
 // engine run on the reply's own snapshot.  Run under ThreadSanitizer (the
@@ -64,8 +64,7 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
     readers.emplace_back([&, reader] {
       QueryScratch scratch;  // warm per-thread scratch, the serving idiom
       const ServeStrategy strategies[] = {
-          ServeStrategy::kAll, ServeStrategy::kPrune, ServeStrategy::kGuided,
-          ServeStrategy::kAuto};
+          ServeStrategy::kAll, ServeStrategy::kPrune, ServeStrategy::kGuided};
       for (int i = 0; i < kQueriesPerReader; ++i) {
         // A small repeating pool of queries: repeats hit the cache, the
         // day-offset ones miss, and epoch publishes reshuffle both.
@@ -81,7 +80,7 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
         // The contract, checked against the exact snapshot served: an
         // uncached, single-threaded run must agree bit for bit.
         const QueryResult direct =
-            reply.snapshot->engine.Run(query, reply.strategy, &scratch);
+            reply.snapshot->engine.Run(query, strategy, &scratch);
         if (!BitIdentical(*reply.result, direct)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }

@@ -1,13 +1,11 @@
-// QueryService end-to-end: cached and adaptive serving must be bit-identical
-// to a direct uncached engine run on the served snapshot, across strategies
-// and across epoch publishes; kAuto explores then converges on the cheapest
-// strategy.
+// QueryService end-to-end: cached serving must be bit-identical to a direct
+// uncached engine run on the served snapshot, across strategies and across
+// epoch publishes.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "analytics/report.h"
-#include "serve/adaptive.h"
 #include "serve/query_service.h"
 #include "serve_test_util.h"
 
@@ -47,16 +45,16 @@ TEST_F(QueryServiceTest, CachedEqualsUncachedAcrossStrategies) {
   for (const ServeStrategy strategy :
        {ServeStrategy::kAll, ServeStrategy::kPrune, ServeStrategy::kGuided}) {
     const ServeReply miss = service.ServeQuery(query, strategy);
-    EXPECT_FALSE(miss.cache_hit) << ServeStrategyName(strategy);
+    EXPECT_FALSE(miss.cache_hit) << QueryStrategyName(strategy);
     const ServeReply hit = service.ServeQuery(query, strategy);
-    EXPECT_TRUE(hit.cache_hit) << ServeStrategyName(strategy);
+    EXPECT_TRUE(hit.cache_hit) << QueryStrategyName(strategy);
     EXPECT_EQ(hit.result.get(), miss.result.get())
         << "a hit aliases the stored result";
 
     // The contract: both replies equal a fresh single-threaded uncached run
     // on exactly the snapshot they were served from.
     const QueryResult direct =
-        hit.snapshot->engine.Run(query, hit.strategy);
+        hit.snapshot->engine.Run(query, strategy);
     ExpectBitIdentical(*miss.result, direct);
     ExpectBitIdentical(*hit.result, direct);
   }
@@ -80,96 +78,10 @@ TEST_F(QueryServiceTest, PublishInvalidatesByEpoch) {
   EXPECT_GT(fresh.result->completeness.days_with_data,
             first.result->completeness.days_with_data);
   ExpectBitIdentical(*fresh.result,
-                     fresh.snapshot->engine.Run(query, fresh.strategy));
+                     fresh.snapshot->engine.Run(query, ServeStrategy::kAll));
 
   // The epoch advance lazily collected the old epoch's entries.
   EXPECT_GT(service.cache_totals().invalidations, 0u);
-}
-
-TEST_F(QueryServiceTest, AutoSharesCacheWithExplicitStrategy) {
-  auto serving = ServingWithMonth0();
-  QueryService service(serving.get());
-  const AnalyticalQuery query = ctx_->WholeAreaQuery(7);
-
-  const ServeReply auto_reply = service.ServeQuery(query, ServeStrategy::kAuto);
-  EXPECT_FALSE(auto_reply.cache_hit);
-  // kAuto resolved before keying: re-issuing with the explicit strategy the
-  // service picked must hit the same entry.
-  const ServeStrategy explicit_strategy =
-      auto_reply.strategy == QueryStrategy::kAll  ? ServeStrategy::kAll
-      : auto_reply.strategy == QueryStrategy::kPrune ? ServeStrategy::kPrune
-                                                     : ServeStrategy::kGuided;
-  const ServeReply explicit_reply = service.ServeQuery(query, explicit_strategy);
-  EXPECT_TRUE(explicit_reply.cache_hit);
-  EXPECT_EQ(explicit_reply.result.get(), auto_reply.result.get());
-}
-
-TEST_F(QueryServiceTest, AutoExploresThenConverges) {
-  auto serving = ServingWithMonth0();
-  ServeOptions options;
-  options.cache_entries = 0;  // every request runs, so every request observes
-  options.adaptive.min_samples_per_strategy = 2;
-  QueryService service(serving.get(), options);
-
-  // Distinct queries so the adaptive model, not the cache, is exercised.
-  for (int day = 0; day < 6; ++day) {
-    AnalyticalQuery query = ctx_->WholeAreaQuery(7);
-    query.days = DayRange{day, day + 1};
-    service.ServeQuery(query, ServeStrategy::kAuto);
-  }
-  // Exploration filled every strategy to the floor.
-  for (const QueryStrategy s :
-       {QueryStrategy::kAll, QueryStrategy::kPrune, QueryStrategy::kGuided}) {
-    EXPECT_GE(service.strategy_stats(s).samples, 2u)
-        << QueryStrategyName(s);
-  }
-
-  // Steady state: the choice is the strategy with the lowest latency EWMA.
-  const ServeReply reply =
-      service.ServeQuery(ctx_->WholeAreaQuery(7), ServeStrategy::kAuto);
-  const double chosen_ewma =
-      service.strategy_stats(reply.strategy).ewma_seconds;
-  for (const QueryStrategy s :
-       {QueryStrategy::kAll, QueryStrategy::kPrune, QueryStrategy::kGuided}) {
-    // The chosen strategy observed one more sample after the comparison was
-    // made, so compare with a small slack against pathological flakiness:
-    // it must at least not be dominated outright.
-    EXPECT_LE(chosen_ewma,
-              service.strategy_stats(s).ewma_seconds * 4.0 + 1e-3)
-        << QueryStrategyName(s);
-  }
-}
-
-TEST_F(QueryServiceTest, SelectorExploresGuidedFirstAndFallsBack) {
-  AdaptiveStrategySelector selector;
-  // Nothing observed: exploration starts at Gui (the paper's default).
-  EXPECT_EQ(selector.ChooseStrategy(), QueryStrategy::kGuided);
-
-  QueryCost cost;
-  cost.seconds = 0.010;
-  for (uint64_t i = 0; i < 3; ++i) {
-    selector.ObserveCost(QueryStrategy::kGuided, cost);
-  }
-  // Gui is at the floor; the least-sampled remaining strategies follow.
-  const QueryStrategy next = selector.ChooseStrategy();
-  EXPECT_TRUE(next == QueryStrategy::kPrune || next == QueryStrategy::kAll);
-}
-
-TEST_F(QueryServiceTest, SelectorPicksLowestEwmaAfterExploration) {
-  AdaptiveStrategySelector selector;
-  QueryCost slow;
-  slow.seconds = 0.100;
-  QueryCost fast;
-  fast.seconds = 0.001;
-  for (uint64_t i = 0; i < 3; ++i) {
-    selector.ObserveCost(QueryStrategy::kGuided, slow);
-    selector.ObserveCost(QueryStrategy::kAll, slow);
-    selector.ObserveCost(QueryStrategy::kPrune, fast);
-  }
-  EXPECT_EQ(selector.ChooseStrategy(), QueryStrategy::kPrune);
-  EXPECT_EQ(selector.StatsFor(QueryStrategy::kPrune).samples, 3u);
-  EXPECT_NEAR(selector.StatsFor(QueryStrategy::kPrune).ewma_seconds, 0.001,
-              1e-9);
 }
 
 TEST_F(QueryServiceTest, EvictionAccountingUnderTinyCache) {
