@@ -110,12 +110,12 @@ int main(int argc, char** argv) {
   FaultPlan feed_fault(2026);
 
   // One guard and one incremental integrator serve the whole run: records
-  // stream guard → integrator as they are validated, so a live macro-cluster
-  // picture (`num_macros()`) is available at any instant, and each evening
-  // `Finalize()` re-derives the canonical batch micro-clusters — the exact
-  // clusters the old per-day batch path produced — for the forest.  The
-  // builder draws provisional ids from the integrator's scratch generator;
-  // the real forest ids are only consumed at Finalize.
+  // stream guard → integrator as they are validated, and each evening
+  // `Finalize()` derives the canonical batch micro-clusters (for the forest)
+  // and the day's macro-clusters (the table's "macros" column) — exactly
+  // what the per-day batch path produces.  The builder draws provisional
+  // ids from the integrator's scratch generator; the real forest ids are
+  // only consumed at Finalize.
   const ForestParams forest_params = analytics::DefaultForestParams();
   IncrementalIntegrator integrator(forest_params.integration, forest.ids());
   std::vector<AtypicalRecord> validated;  // the current day's accepted records
@@ -144,12 +144,12 @@ int main(int argc, char** argv) {
     validated.clear();
     for (const AtypicalRecord& r : feed) guard.Add(r);
     guard.Flush();
-    const size_t live_macros = integrator.num_macros();
 
     // Close out the day: canonical micro-clusters into the forest, then
     // re-arm both stages for tomorrow.
     std::vector<AtypicalCluster> day_micros;
-    integrator.Finalize(/*stats=*/nullptr, &day_micros);
+    const size_t day_macros =
+        integrator.Finalize(/*stats=*/nullptr, &day_micros).size();
     forest.InstallDay(day, std::move(day_micros));
     guard.Reset();
     integrator.Reset();
@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
       summary += StrPrintf(" [s%u %.0fmin]", top.key, c.severity());
     }
     std::printf("%3d | %6zu | %6zu | %s |%s\n", day,
-                forest.MicrosOfDay(day).size(), live_macros,
+                forest.MicrosOfDay(day).size(), day_macros,
                 analytics::IngestHealthLine(day_stats).c_str(),
                 summary.empty() ? " (none)" : summary.c_str());
   }

@@ -108,10 +108,10 @@ class AtypicalForest {
   // materialized level whose covered days mutated afterwards is detectable
   // as stale — the query planner must not serve its macros
   // (CollectPlannedInputs skips them and counts
-  // query.stale_materialized_skipped).  The serving layer additionally uses
-  // the version as a cheap "did anything change" probe between snapshot
-  // publishes (DESIGN §16).
-  uint64_t version() const { return version_; }
+  // query.stale_materialized_skipped).  Only day mutations count: cube
+  // changes and RecordDayProvenance() leave the version alone, so it is no
+  // "anything changed since publish" signal.
+  //
   // True when some day in the week's/month's span mutated after the level
   // was last materialized.  Weeks/months that were never
   // materialized are not stale — they are simply absent.

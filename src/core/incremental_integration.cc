@@ -3,17 +3,15 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/merge.h"
 #include "obs/stats.h"
 #include "util/logging.h"
-#include "util/stopwatch.h"
 
 namespace atypical {
 
 namespace {
-// Provisional ids (builder micros, online merges) live far above any real
-// sequence so a leaked scratch id is obvious in logs and can never collide
-// with the ids Finalize() assigns from the real generator.
+// Provisional builder micro ids live far above any real sequence so a
+// leaked scratch id is obvious in logs and can never collide with the ids
+// Finalize() assigns from the real generator.
 constexpr ClusterId kScratchIdBase = ClusterId{1} << 40;
 }  // namespace
 
@@ -23,16 +21,7 @@ IncrementalIntegrator::IncrementalIntegrator(const IntegrationParams& params,
   CHECK_GT(params.delta_sim, 0.0)
       << "δsim must be positive (disjoint clusters have similarity 0)";
   CHECK(ids != nullptr);
-  if (params_.use_candidate_index) {
-    index_ = std::make_unique<integration_internal::CandidateIndex>(0);
-    // Arm compaction from the start: the online index has no batch build
-    // phase, so the baseline is empty and the watermark ratchets up from
-    // the kMinPostings floor as the state grows (amortized O(1)/posting).
-    index_->SealBaseline();
-  }
 }
-
-IncrementalIntegrator::~IncrementalIntegrator() { PublishOnlineStats(); }
 
 StreamingEventBuilder::EmitSeqFn IncrementalIntegrator::AsEmitFn() {
   return [this](AtypicalCluster micro, uint64_t first_record_seq) {
@@ -44,94 +33,16 @@ void IncrementalIntegrator::Accept(AtypicalCluster micro,
                                    uint64_t first_record_seq) {
   CHECK(!finalized_)
       << "Accept after Finalize: call Reset() to start a new cycle";
-  if (!slots_.empty()) {
-    CHECK(micro.key_mode == slots_[0].key_mode)
+  if (!retained_.empty()) {
+    CHECK(micro.key_mode == retained_[0].micro.key_mode)
         << "all inputs must share one temporal key mode";
   }
   DCHECK_EQ(micro.micro_ids.size(), size_t{1})
       << "Accept takes micro-clusters, not merged macros";
-  ++stats_.arrivals;
-  retained_.push_back(RetainedMicro{micro, first_record_seq});
-
-  const uint32_t slot = static_cast<uint32_t>(slots_.size());
-  slots_.push_back(std::move(micro));
-  alive_.push_back(true);
-  ++alive_count_;
-  if (index_ != nullptr) {
-    index_->GrowSlots(slots_.size());
-    index_->AddKeys(slots_[slot], slot);
-  }
-  Cascade(slot);
-}
-
-void IncrementalIntegrator::Cascade(uint32_t focus) {
-  // Budgets are per arrival: an online deployment cares about the latency
-  // of *this* cascade, not cumulative rounds since construction.
-  Stopwatch timer;
-  uint64_t rounds = 0;
-  while (true) {
-    if ((params_.max_fixpoint_rounds > 0 &&
-         rounds >= params_.max_fixpoint_rounds) ||
-        (params_.deadline_seconds > 0.0 &&
-         timer.ElapsedSeconds() >= params_.deadline_seconds)) {
-      // Partial but valid: every slot is still a severity-conserving merge
-      // of disjoint micros; only the fixpoint guarantee is suspended.
-      ++stats_.budget_trips;
-      stats_.converged = false;
-      return;
-    }
-    ++rounds;
-    ++stats_.cascade_rounds;
-    if (index_ != nullptr) {
-      index_->Candidates(slots_[focus], focus, alive_, &candidates_);
-    } else {
-      candidates_.clear();
-      for (size_t j = 0; j < slots_.size(); ++j) {
-        if (j != focus && alive_[j]) {
-          candidates_.push_back(static_cast<uint32_t>(j));
-        }
-      }
-    }
-    bool merged_any = false;
-    for (uint32_t j : candidates_) {
-      ++stats_.similarity_checks;
-      if (ExceedsThreshold(slots_[focus], slots_[j], params_.g,
-                           params_.delta_sim, &scan_stats_,
-                           params_.use_similarity_fast_path)) {
-        // Lower slot absorbs (the batch drivers' discipline); the loser
-        // slot keeps its dead cluster so its keys can be re-posted under
-        // the winner.
-        const uint32_t winner = focus < j ? focus : j;
-        const uint32_t loser = focus < j ? j : focus;
-        AtypicalCluster merged =
-            MergeClusters(slots_[winner], slots_[loser], &scratch_ids_);
-        slots_[winner] = std::move(merged);
-        alive_[loser] = false;
-        --alive_count_;
-        if (index_ != nullptr) {
-          index_->AddKeys(slots_[loser], winner);
-          if (index_->MaybeCompact(alive_)) ++stats_.index_compactions;
-        }
-        ++stats_.online_merges;
-        focus = winner;
-        merged_any = true;
-        break;  // re-gather candidates for the grown cluster
-      }
-    }
-    // Only the focus slot ever changed, so once it has no qualifying
-    // candidate the pre-arrival fixpoint (no alive pair above δsim) is
-    // restored globally.
-    if (!merged_any) return;
-  }
-}
-
-std::vector<AtypicalCluster> IncrementalIntegrator::MacroSnapshot() const {
-  std::vector<AtypicalCluster> out;
-  out.reserve(alive_count_);
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (alive_[i]) out.push_back(slots_[i]);
-  }
-  return out;
+  static obs::Counter* const obs_arrivals =
+      obs::Registry()->GetCounter("integration.incremental.arrivals");
+  obs_arrivals->Add(1);
+  retained_.push_back(RetainedMicro{std::move(micro), first_record_seq});
 }
 
 std::vector<AtypicalCluster> IncrementalIntegrator::Finalize(
@@ -164,62 +75,27 @@ std::vector<AtypicalCluster> IncrementalIntegrator::Finalize(
   if (canonical_micros != nullptr) *canonical_micros = micros;
 
   IntegrationStats local;
-  std::vector<AtypicalCluster> macros = integration_internal::GreedyFixpoint(
-      std::move(micros), params_, ids_, &local);
+  std::vector<AtypicalCluster> macros =
+      IntegrateClusters(std::move(micros), params_, ids_, &local);
 
-  PublishOnlineStats();
   static obs::Counter* const obs_finalize_runs =
       obs::Registry()->GetCounter("integration.incremental.finalize_runs");
   static obs::Counter* const obs_finalize_merges =
       obs::Registry()->GetCounter("integration.incremental.finalize_merges");
   static obs::Histogram* const obs_finalize_seconds =
       obs::Registry()->GetHistogram("integration.incremental.finalize_seconds");
-  static obs::Counter* const obs_partial =
-      obs::Registry()->GetCounter("degradation.integration_partial");
   obs_finalize_runs->Add(1);
   obs_finalize_merges->Add(local.merges);
   obs_finalize_seconds->Record(local.seconds);
-  if (!local.converged) obs_partial->Add(1);
 
   if (stats != nullptr) *stats = local;
   return macros;
 }
 
 void IncrementalIntegrator::Reset() {
-  PublishOnlineStats();
-  slots_.clear();
-  alive_.clear();
-  alive_count_ = 0;
   retained_.clear();
   finalized_ = false;
   scratch_ids_ = ClusterIdGenerator(kScratchIdBase);
-  if (params_.use_candidate_index) {
-    index_ = std::make_unique<integration_internal::CandidateIndex>(0);
-    index_->SealBaseline();
-  }
-}
-
-void IncrementalIntegrator::PublishOnlineStats() {
-  static obs::Counter* const obs_arrivals =
-      obs::Registry()->GetCounter("integration.incremental.arrivals");
-  static obs::Counter* const obs_merges =
-      obs::Registry()->GetCounter("integration.incremental.online_merges");
-  static obs::Counter* const obs_checks =
-      obs::Registry()->GetCounter("integration.incremental.similarity_checks");
-  static obs::Counter* const obs_rounds =
-      obs::Registry()->GetCounter("integration.incremental.cascade_rounds");
-  static obs::Counter* const obs_compactions =
-      obs::Registry()->GetCounter("integration.incremental.index_compactions");
-  static obs::Counter* const obs_trips =
-      obs::Registry()->GetCounter("degradation.incremental_budget_trips");
-  // Deltas keep Finalize + Reset + destructor exact, like the ingest guard.
-  obs_arrivals->Add(stats_.arrivals - published_.arrivals);
-  obs_merges->Add(stats_.online_merges - published_.online_merges);
-  obs_checks->Add(stats_.similarity_checks - published_.similarity_checks);
-  obs_rounds->Add(stats_.cascade_rounds - published_.cascade_rounds);
-  obs_compactions->Add(stats_.index_compactions - published_.index_compactions);
-  obs_trips->Add(stats_.budget_trips - published_.budget_trips);
-  published_ = stats_;
 }
 
 }  // namespace atypical

@@ -10,15 +10,12 @@
 
 namespace atypical {
 
-namespace integration_internal {
-
-std::vector<AtypicalCluster> GreedyFixpoint(
+std::vector<AtypicalCluster> IntegrateClusters(
     std::vector<AtypicalCluster> clusters, const IntegrationParams& params,
     ClusterIdGenerator* ids, IntegrationStats* stats) {
   CHECK_GT(params.delta_sim, 0.0)
       << "δsim must be positive (disjoint clusters have similarity 0)";
   CHECK(ids != nullptr);
-  CHECK(stats != nullptr);
   Stopwatch timer;
 
   const size_t n = clusters.size();
@@ -34,9 +31,9 @@ std::vector<AtypicalCluster> GreedyFixpoint(
   uint64_t index_compactions = 0;
   SimilarityScanStats scan_stats;
 
-  std::unique_ptr<CandidateIndex> index;
+  std::unique_ptr<integration_internal::CandidateIndex> index;
   if (params.use_candidate_index) {
-    index = std::make_unique<CandidateIndex>(n);
+    index = std::make_unique<integration_internal::CandidateIndex>(n);
     for (size_t i = 0; i < n; ++i) {
       index->AddKeys(clusters[i], static_cast<uint32_t>(i));
     }
@@ -103,27 +100,17 @@ std::vector<AtypicalCluster> GreedyFixpoint(
     if (alive[i]) out.push_back(std::move(clusters[i]));
   }
 
-  stats->input_clusters = n;
-  stats->output_clusters = out.size();
-  stats->similarity_checks = similarity_checks;
-  stats->merges = merges;
-  stats->exact_scans = scan_stats.exact_scans;
-  stats->pruned_scans = scan_stats.pruned_scans;
-  stats->index_compactions = index_compactions;
-  stats->fixpoint_rounds = fixpoint_rounds;
-  stats->converged = converged;
-  stats->seconds = timer.ElapsedSeconds();
-  return out;
-}
-
-}  // namespace integration_internal
-
-std::vector<AtypicalCluster> IntegrateClusters(
-    std::vector<AtypicalCluster> clusters, const IntegrationParams& params,
-    ClusterIdGenerator* ids, IntegrationStats* stats) {
   IntegrationStats local;
-  std::vector<AtypicalCluster> out = integration_internal::GreedyFixpoint(
-      std::move(clusters), params, ids, &local);
+  local.input_clusters = n;
+  local.output_clusters = out.size();
+  local.similarity_checks = similarity_checks;
+  local.merges = merges;
+  local.exact_scans = scan_stats.exact_scans;
+  local.pruned_scans = scan_stats.pruned_scans;
+  local.index_compactions = index_compactions;
+  local.fixpoint_rounds = fixpoint_rounds;
+  local.converged = converged;
+  local.seconds = timer.ElapsedSeconds();
 
   // Publish once per run; the fixpoint loop touches only locals.
   static obs::Counter* const obs_runs =

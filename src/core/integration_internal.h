@@ -1,9 +1,9 @@
-// Shared internals of Algorithm 3's batch and incremental drivers.
+// Algorithm 3's inverted candidate index, used by IntegrateClusters.
 //
-// The inverted candidate index restricts pairwise similarity checks to
-// cluster pairs sharing at least one spatial or temporal key — disjoint
-// pairs have similarity 0 and can never exceed δsim > 0, so pruning them
-// keeps the result bit-identical to the naive quadratic scan (tested).
+// The index restricts pairwise similarity checks to cluster pairs sharing
+// at least one spatial or temporal key — disjoint pairs have similarity 0
+// and can never exceed δsim > 0, so pruning them keeps the result
+// bit-identical to the naive quadratic scan (tested).
 #ifndef ATYPICAL_CORE_INTEGRATION_INTERNAL_H_
 #define ATYPICAL_CORE_INTEGRATION_INTERNAL_H_
 
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/cluster.h"
-#include "core/integration.h"
 #include "util/hash_perturb.h"
 #include "util/hot_path.h"
 
@@ -26,13 +25,13 @@ namespace integration_internal {
 // temporal key spaces are disambiguated by a domain tag in the high bits.
 //
 // Merges re-post an absorbed cluster's keys under the winner slot (AddKeys
-// in the drivers' merge block), so posting lists accumulate duplicates of
-// the winner and stale entries for dead slots.  Candidates() filters both,
-// but unbounded growth makes every later scan pay for all history — so the
-// drivers arm a size watermark via SealBaseline() (trigger at 1.5× the
-// just-built baseline: a fully collapsing run re-posts about one baseline's
-// worth, so 2× would never fire within a run) and call MaybeCompact() after
-// each merge; compaction rewrites lists sorted/deduped with dead slots
+// in IntegrateClusters' merge block), so posting lists accumulate
+// duplicates of the winner and stale entries for dead slots.  Candidates()
+// filters both, but unbounded growth makes every later scan pay for all
+// history — so IntegrateClusters arms a size watermark via SealBaseline()
+// (trigger at 1.5× the just-built baseline: a fully collapsing run re-posts
+// about one baseline's worth, so 2× would never fire within a run) and
+// calls MaybeCompact() after each merge; compaction rewrites lists sorted/deduped with dead slots
 // dropped and re-arms at 2× the surviving size, which is amortized O(1) per
 // posting.  Results are unchanged: Candidates() already dedups via
 // last_seen_ and filters alive[].
@@ -42,13 +41,6 @@ class CandidateIndex {
  public:
   explicit CandidateIndex(size_t num_slots) : last_seen_(num_slots, 0) {
     PerturbedReserve(postings_, num_slots * 2);
-  }
-
-  // Extends the slot space to `num_slots` (the incremental driver appends a
-  // slot per arriving micro-cluster; batch drivers size the index up front).
-  // Existing postings and the compaction watermark are untouched.
-  void GrowSlots(size_t num_slots) {
-    if (num_slots > last_seen_.size()) last_seen_.resize(num_slots, 0);
   }
 
   void AddKeys(const AtypicalCluster& cluster, uint32_t slot) {
@@ -68,7 +60,7 @@ class CandidateIndex {
   }
 
   // Compacts if the armed watermark is exceeded.  Returns true when a
-  // compaction ran (the drivers count these).
+  // compaction ran (IntegrateClusters counts these).
   bool MaybeCompact(const std::vector<bool>& alive) {
     if (total_postings_ <= compact_threshold_) return false;
     size_t kept = 0;
@@ -140,18 +132,6 @@ class CandidateIndex {
   // SIZE_MAX until SealBaseline(): an unsealed index never compacts.
   size_t compact_threshold_ = std::numeric_limits<size_t>::max();
 };
-
-// The serial greedy fixpoint of Algorithm 3 — the exact body of
-// IntegrateClusters minus obs publication: ascending slot sweep, each slot
-// repeatedly absorbing its lowest-numbered qualifying candidate, budgets
-// returning a valid partial partition with stats->converged=false.  Both
-// IntegrateClusters and IncrementalIntegrator::Finalize() call this one
-// function, which is what makes their outputs bit-identical by
-// construction.  `stats` must be non-null and is filled completely
-// (including seconds).
-std::vector<AtypicalCluster> GreedyFixpoint(
-    std::vector<AtypicalCluster> clusters, const IntegrationParams& params,
-    ClusterIdGenerator* ids, IntegrationStats* stats);
 
 }  // namespace integration_internal
 }  // namespace atypical

@@ -58,7 +58,6 @@ std::shared_ptr<const ForestSnapshot> ServingForest::PublishSnapshot() {
       next_epoch_++, network_, regions_,
       std::make_shared<const AtypicalForest>(staging_),
       std::make_shared<const cube::BottomUpCube>(cube_), options_);
-  published_version_ = staging_.version();
   store_.PublishSnapshot(snapshot);
 
   publishes->Add(1);

@@ -101,12 +101,6 @@ class ServingForest {
   // Returns the published snapshot.
   std::shared_ptr<const ForestSnapshot> PublishSnapshot();
 
-  // True when the staging forest mutated since the last publish (writer
-  // thread only; cheap "should I publish" probe).
-  bool HasUnpublishedChanges() const {
-    return staging_.version() != published_version_;
-  }
-
   // ---- reader side ----
   // Never nullptr: the constructor publishes an empty epoch 1.
   std::shared_ptr<const ForestSnapshot> AcquireSnapshot() const {
@@ -123,7 +117,6 @@ class ServingForest {
   AtypicalForest staging_;
   cube::BottomUpCube cube_;
   uint64_t next_epoch_ = 1;
-  uint64_t published_version_ = 0;  // staging_.version() at last publish
   SnapshotStore store_;
 };
 

@@ -1,18 +1,20 @@
 // IncrementalIntegrator::Finalize() must be a bit-identical drop-in for the
 // batch Algorithm 3 driver — same partition, same features, same cluster
-// ids — no matter how the micro-clusters arrived.  The online state itself
-// is only guaranteed to be *a* fixpoint (no alive pair above δsim), not the
-// batch partition; these tests pin both contracts, plus the budget, scratch
-// id and Reset() semantics.
+// ids, same IntegrationStats — no matter how the micro-clusters arrived.
+// These tests pin that contract, plus the budget, scratch id and Reset()
+// semantics.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analytics/report.h"
 #include "core/incremental_integration.h"
 #include "core/integration.h"
 #include "core/similarity.h"
+#include "core/streaming.h"
+#include "gen/workload.h"
 #include "util/random.h"
 
 namespace atypical {
@@ -73,6 +75,19 @@ void ExpectIdentical(const std::vector<AtypicalCluster>& batch,
   }
 }
 
+void ExpectSameStats(const IntegrationStats& batch,
+                     const IntegrationStats& streamed) {
+  EXPECT_EQ(batch.input_clusters, streamed.input_clusters);
+  EXPECT_EQ(batch.output_clusters, streamed.output_clusters);
+  EXPECT_EQ(batch.merges, streamed.merges);
+  EXPECT_EQ(batch.similarity_checks, streamed.similarity_checks);
+  EXPECT_EQ(batch.fixpoint_rounds, streamed.fixpoint_rounds);
+  EXPECT_EQ(batch.exact_scans, streamed.exact_scans);
+  EXPECT_EQ(batch.pruned_scans, streamed.pruned_scans);
+  EXPECT_EQ(batch.index_compactions, streamed.index_compactions);
+  EXPECT_EQ(batch.converged, streamed.converged);
+}
+
 // Feeds `micros` in order (seq = feed position) and finalizes.
 std::vector<AtypicalCluster> StreamAndFinalize(
     const std::vector<AtypicalCluster>& micros, const IntegrationParams& params,
@@ -125,10 +140,7 @@ TEST_P(IncrementalEquivalenceTest, FinalizeBitIdenticalToBatch) {
 
   ExpectIdentical(batch, streamed);
   ExpectIdentical(batch_micros, canonical);
-  EXPECT_EQ(batch_stats.merges, inc_stats.merges);
-  EXPECT_EQ(batch_stats.similarity_checks, inc_stats.similarity_checks);
-  EXPECT_EQ(batch_stats.fixpoint_rounds, inc_stats.fixpoint_rounds);
-  EXPECT_EQ(batch_stats.converged, inc_stats.converged);
+  ExpectSameStats(batch_stats, inc_stats);
 }
 
 std::vector<EquivalenceCase> MakeCases() {
@@ -172,102 +184,57 @@ TEST(IncrementalIntegrationTest, PermutedArrivalsStayEquivalent) {
 }
 
 TEST(IncrementalIntegrationTest, BudgetTrippedPartialMatchesBatch) {
-  std::vector<AtypicalCluster> micros = RandomMicros(120, 8, 2024);
-  IntegrationParams params;
-  params.delta_sim = 0.25;  // merge-heavy so the budget actually bites
-  params.max_fixpoint_rounds = 3;
+  // Budgets apply to the one Finalize() run exactly as to the batch run;
+  // a 1-round budget trips on the first merging slot.
+  const std::vector<AtypicalCluster> micros = RandomMicros(120, 8, 2024);
+  for (const uint64_t rounds : {uint64_t{3}, uint64_t{1}}) {
+    SCOPED_TRACE(rounds);
+    IntegrationParams params;
+    params.delta_sim = 0.25;  // merge-heavy so the budget actually bites
+    params.max_fixpoint_rounds = rounds;
 
-  std::vector<AtypicalCluster> batch_micros = micros;
-  ClusterIdGenerator batch_ids(1);
-  Renumber(&batch_micros, &batch_ids);
-  IntegrationStats batch_stats;
-  const auto batch =
-      IntegrateClusters(batch_micros, params, &batch_ids, &batch_stats);
-  ASSERT_FALSE(batch_stats.converged);
+    std::vector<AtypicalCluster> batch_micros = micros;
+    ClusterIdGenerator batch_ids(1);
+    Renumber(&batch_micros, &batch_ids);
+    IntegrationStats batch_stats;
+    const auto batch =
+        IntegrateClusters(batch_micros, params, &batch_ids, &batch_stats);
+    ASSERT_FALSE(batch_stats.converged);
 
-  ClusterIdGenerator inc_ids(1);
-  IntegrationStats inc_stats;
-  IncrementalIntegrator integrator(params, &inc_ids);
-  for (size_t i = 0; i < micros.size(); ++i) integrator.Accept(micros[i], i);
-  // The per-arrival cascades are budget-capped too; the partial online
-  // partition must still conserve severity mass.
-  double online_mass = 0.0;
-  for (const auto& macro : integrator.MacroSnapshot()) {
-    online_mass += macro.severity();
+    ClusterIdGenerator inc_ids(1);
+    IntegrationStats inc_stats;
+    const auto streamed = StreamAndFinalize(micros, params, &inc_ids,
+                                            &inc_stats);
+    ExpectIdentical(batch, streamed);
+    ExpectSameStats(batch_stats, inc_stats);
   }
-  double input_mass = 0.0;
-  for (const auto& m : micros) input_mass += m.severity();
-  EXPECT_NEAR(online_mass, input_mass, 1e-6);
-
-  const auto streamed = integrator.Finalize(&inc_stats);
-  EXPECT_FALSE(inc_stats.converged);
-  ExpectIdentical(batch, streamed);
 }
 
-TEST(IncrementalIntegrationTest, OnlineBudgetTripLatchesConvergedFalse) {
-  // max_fixpoint_rounds applies per arrival online; with a 1-round budget
-  // any arrival that merges trips it before confirming its fixpoint, so the
-  // online convergence flag must latch false — and Finalize() must still
-  // match the batch run under the same (globally applied) budget.
-  std::vector<AtypicalCluster> micros = RandomMicros(120, 8, 2025);
-  IntegrationParams params;
-  params.delta_sim = 0.25;
-  params.max_fixpoint_rounds = 1;
-
-  std::vector<AtypicalCluster> batch_micros = micros;
-  ClusterIdGenerator batch_ids(1);
-  Renumber(&batch_micros, &batch_ids);
-  const auto batch = IntegrateClusters(batch_micros, params, &batch_ids);
-
-  ClusterIdGenerator inc_ids(1);
-  IncrementalIntegrator integrator(params, &inc_ids);
-  for (size_t i = 0; i < micros.size(); ++i) integrator.Accept(micros[i], i);
-  EXPECT_GT(integrator.online_stats().budget_trips, 0u);
-  EXPECT_FALSE(integrator.online_stats().converged);
-  ExpectIdentical(batch, integrator.Finalize());
-}
-
-TEST(IncrementalIntegrationTest, OnlineStateIsAFixpointAfterEveryArrival) {
-  std::vector<AtypicalCluster> micros = RandomMicros(60, 10, 77);
-  IntegrationParams params;
+TEST(IncrementalIntegrationTest, BuilderIdsNeverTouchTheRealGenerator) {
+  // A real builder on scratch_ids() hands out provisional ids; the real
+  // sequence starts only at Finalize, so the first canonical micro is 1.
+  const auto workload = MakeWorkload(WorkloadScale::kTiny, 61);
+  const std::vector<AtypicalRecord> records =
+      workload->generator->GenerateMonthAtypical(0);
   ClusterIdGenerator ids(1);
-  IncrementalIntegrator integrator(params, &ids);
-  double fed_mass = 0.0;
-  for (size_t i = 0; i < micros.size(); ++i) {
-    integrator.Accept(micros[i], i);
-    fed_mass += micros[i].severity();
-  }
-  ASSERT_TRUE(integrator.online_stats().converged);
-  const auto snapshot = integrator.MacroSnapshot();
-  EXPECT_EQ(snapshot.size(), integrator.num_macros());
-  double snapshot_mass = 0.0;
-  for (const auto& macro : snapshot) snapshot_mass += macro.severity();
-  EXPECT_NEAR(snapshot_mass, fed_mass, 1e-6);
-  for (size_t i = 0; i < snapshot.size(); ++i) {
-    for (size_t j = i + 1; j < snapshot.size(); ++j) {
-      ASSERT_LE(Similarity(snapshot[i], snapshot[j], params.g),
-                params.delta_sim);
-    }
-  }
-}
+  IncrementalIntegrator integrator(IntegrationParams{}, &ids);
+  StreamingEventBuilder builder(
+      workload->sensors.get(), workload->gen_config.time_grid,
+      analytics::DefaultForestParams().retrieval, integrator.scratch_ids(),
+      [&integrator](AtypicalCluster micro, uint64_t first_record_seq) {
+        EXPECT_GE(micro.id, ClusterId{1} << 40) << "builder ids are scratch";
+        integrator.Accept(std::move(micro), first_record_seq);
+      });
+  for (const AtypicalRecord& r : records) builder.Add(r);
+  builder.Flush();
+  const size_t kept = integrator.num_micros();
+  ASSERT_GT(kept, 0u);
 
-TEST(IncrementalIntegrationTest, ScratchIdsNeverTouchTheRealGenerator) {
-  std::vector<AtypicalCluster> micros = RandomMicros(40, 6, 5);
-  IntegrationParams params;
-  params.delta_sim = 0.25;
-  ClusterIdGenerator ids(1);
-  IncrementalIntegrator integrator(params, &ids);
-  for (size_t i = 0; i < micros.size(); ++i) integrator.Accept(micros[i], i);
-  ASSERT_GT(integrator.online_stats().online_merges, 0u)
-      << "workload too sparse to exercise provisional merge ids";
-  for (const auto& macro : integrator.MacroSnapshot()) {
-    EXPECT_GE(macro.id, ClusterId{1} << 40) << "snapshot ids are provisional";
-  }
-  // The real sequence starts only at Finalize: first canonical micro is 1.
   std::vector<AtypicalCluster> canonical;
   integrator.Finalize(nullptr, &canonical);
-  ASSERT_FALSE(canonical.empty());
+  ASSERT_EQ(canonical.size(), kept);
   EXPECT_EQ(canonical.front().id, 1u);
+  EXPECT_EQ(canonical.back().id, canonical.size());
 }
 
 TEST(IncrementalIntegrationTest, ResetServesASecondCycle) {
@@ -290,7 +257,6 @@ TEST(IncrementalIntegrationTest, ResetServesASecondCycle) {
   ExpectIdentical(batch1, integrator.Finalize());
   integrator.Reset();
   EXPECT_EQ(integrator.num_micros(), 0u);
-  EXPECT_EQ(integrator.num_macros(), 0u);
   for (size_t i = 0; i < day2.size(); ++i) integrator.Accept(day2[i], i);
   ExpectIdentical(batch2, integrator.Finalize());
 }

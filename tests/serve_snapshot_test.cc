@@ -68,15 +68,6 @@ TEST_F(ServeSnapshotTest, EpochsAdvanceMonotonically) {
   }
 }
 
-TEST_F(ServeSnapshotTest, UnpublishedChangesProbe) {
-  auto serving = MakeServing(*ctx_, analytics::DefaultEngineOptions());
-  EXPECT_FALSE(serving->HasUnpublishedChanges());
-  StageMonth(*ctx_, 0, serving.get());
-  EXPECT_TRUE(serving->HasUnpublishedChanges());
-  serving->PublishSnapshot();
-  EXPECT_FALSE(serving->HasUnpublishedChanges());
-}
-
 TEST_F(ServeSnapshotTest, OldEpochKeepsOldAnswer) {
   auto serving = MakeServing(*ctx_, analytics::DefaultEngineOptions());
   StageMonth(*ctx_, 0, serving.get());
