@@ -38,14 +38,13 @@ int main() {
   Table table({"partition", "regions", "red zones", "input micros",
                "pruned %", "recall", "precision"});
   for (const SpatialPartition* partition : partitions) {
-    cube::BottomUpCube atypical_cube;
+    cube::RegionDayMeasure measure;
     for (const auto& month : ctx->monthly_atypical) {
-      atypical_cube.MergeFrom(cube::BottomUpCube::FromAtypical(
+      measure.MergeFrom(cube::RegionDayMeasure::FromAtypical(
           month, *partition, ctx->time_grid()));
     }
     const QueryEngine engine(&ctx->network(), partition, ctx->forest.get(),
-                             &atypical_cube,
-                             analytics::DefaultEngineOptions());
+                             &measure, analytics::DefaultEngineOptions());
     const QueryResult gui = engine.Run(query, QueryStrategy::kGuided);
     const analytics::PrecisionRecall pr =
         analytics::EvaluateMass(gui, gt, severities);

@@ -34,9 +34,9 @@ int main() {
   for (const double cell : {1.5, 3.0, 6.0, 12.0}) {
     // Rebuild the pre-defined partition and the guidance cube on it.
     const RegionGrid regions(ctx->network(), cell);
-    cube::BottomUpCube atypical_cube;
+    cube::RegionDayMeasure measure;
     for (const auto& month : ctx->monthly_atypical) {
-      atypical_cube.MergeFrom(cube::BottomUpCube::FromAtypical(
+      measure.MergeFrom(cube::RegionDayMeasure::FromAtypical(
           month, regions, ctx->time_grid()));
     }
     for (const cube::RedZoneFilterMode mode :
@@ -45,7 +45,7 @@ int main() {
       QueryEngineOptions options = analytics::DefaultEngineOptions();
       options.red_zone_mode = mode;
       const QueryEngine engine(&ctx->network(), &regions, ctx->forest.get(),
-                               &atypical_cube, options);
+                               &measure, options);
       const QueryResult gui = engine.Run(query, QueryStrategy::kGuided);
       const analytics::PrecisionRecall pr =
           analytics::EvaluateMass(gui, gt, severities);

@@ -64,8 +64,8 @@ int main() {
     {
       Result<Dataset> raw = storage::ReadDataset(path);
       CHECK_OK(raw.status());
-      cube::BottomUpCube oc =
-          cube::BottomUpCube::FromReadings(*raw, *workload->regions);
+      cube::CubeView oc =
+          cube::CubeView::FromReadings(*raw, *workload->regions);
       (void)oc;  // timing the build; the cube itself is discarded
     }
     oc_total += oc_timer.StopSeconds();
@@ -73,7 +73,7 @@ int main() {
     // MC: aggregate only the pre-selected atypical records.
     bench::BenchTimer mc_timer("fig15.mc");
     {
-      cube::BottomUpCube mc = cube::BottomUpCube::FromAtypical(
+      cube::CubeView mc = cube::CubeView::FromAtypical(
           atypical, *workload->regions, grid);
       (void)mc;  // timing the build; the cube itself is discarded
     }

@@ -24,8 +24,8 @@ int main() {
       analytics::DefaultForestParams().retrieval;
   ClusterIdGenerator ids;
 
-  cube::BottomUpCube oc;
-  cube::BottomUpCube mc;
+  cube::CubeView oc;
+  cube::CubeView mc;
   uint64_t ac_bytes = 0;
   uint64_t ae_bytes = 0;
 
@@ -36,9 +36,9 @@ int main() {
     const std::vector<AtypicalRecord> atypical =
         dataset.ExtractAtypicalRecords();
 
-    oc.MergeFrom(cube::BottomUpCube::FromReadings(dataset,
+    oc.MergeFrom(cube::CubeView::FromReadings(dataset,
                                                   *workload->regions));
-    mc.MergeFrom(cube::BottomUpCube::FromAtypical(atypical,
+    mc.MergeFrom(cube::CubeView::FromAtypical(atypical,
                                                   *workload->regions, grid));
     for (const AtypicalCluster& c : RetrieveMicroClusters(
              atypical, *workload->sensors, grid, retrieval, &ids)) {

@@ -8,7 +8,7 @@
 #include "core/integration.h"
 #include "core/merge.h"
 #include "core/similarity.h"
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "gen/workload.h"
 #include "storage/format.h"
 #include "util/random.h"
@@ -132,19 +132,19 @@ void BM_Integration(benchmark::State& state) {
 }
 BENCHMARK(BM_Integration)->Arg(50)->Arg(200)->Arg(800);
 
-void BM_CubeBuildAtypical(benchmark::State& state) {
+void BM_MeasureFromAtypical(benchmark::State& state) {
   RetrievalFixture& f = Fixture();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cube::BottomUpCube::FromAtypical(
+    benchmark::DoNotOptimize(cube::RegionDayMeasure::FromAtypical(
         f.records, *f.workload->regions, f.workload->gen_config.time_grid));
   }
   state.SetItemsProcessed(state.iterations() * f.records.size());
 }
-BENCHMARK(BM_CubeBuildAtypical);
+BENCHMARK(BM_MeasureFromAtypical);
 
-void BM_CubeF(benchmark::State& state) {
+void BM_MeasureF(benchmark::State& state) {
   RetrievalFixture& f = Fixture();
-  const cube::BottomUpCube cube = cube::BottomUpCube::FromAtypical(
+  const cube::RegionDayMeasure measure = cube::RegionDayMeasure::FromAtypical(
       f.records, *f.workload->regions, f.workload->gen_config.time_grid);
   std::vector<RegionId> regions;
   for (RegionId r = 0;
@@ -153,10 +153,10 @@ void BM_CubeF(benchmark::State& state) {
   }
   const DayRange days{0, 6};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cube.F(regions, days));
+    benchmark::DoNotOptimize(measure.F(regions, days));
   }
 }
-BENCHMARK(BM_CubeF);
+BENCHMARK(BM_MeasureF);
 
 void BM_RecordCodec(benchmark::State& state) {
   Reading r;

@@ -83,7 +83,7 @@ int Main(int argc, char** argv) {
   serve::ServingForest serving(&ctx->network(), &ctx->regions(),
                                ctx->time_grid(), ctx->forest_params,
                                analytics::DefaultEngineOptions());
-  serving.staging_cube()->MergeFrom(ctx->atypical_cube);
+  serving.staging_cube()->MergeFrom(ctx->measure);
   // Serve the first month from the start; the writer drips the rest in.
   serving.staging_forest()->AddRecords(ctx->monthly_atypical[0]);
   serving.PublishSnapshot();

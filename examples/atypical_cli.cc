@@ -180,7 +180,7 @@ int RunAnalyze(const FlagParser& flags) {
   const TimeGrid grid = workload->gen_config.time_grid;
   AtypicalForest forest(workload->sensors.get(), grid,
                         analytics::DefaultForestParams());
-  cube::BottomUpCube severity_cube;
+  cube::RegionDayMeasure severity_cube;
 
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -210,7 +210,7 @@ int RunAnalyze(const FlagParser& flags) {
     max_day = std::max(max_day,
                        reader->meta().first_day + reader->meta().num_days - 1);
     forest.AddRecords(records);
-    severity_cube.MergeFrom(cube::BottomUpCube::FromAtypical(
+    severity_cube.MergeFrom(cube::RegionDayMeasure::FromAtypical(
         records, *workload->regions, grid));
     std::printf("loaded %s: %zu atypical records\n", path.c_str(),
                 records.size());

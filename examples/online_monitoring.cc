@@ -18,7 +18,7 @@
 #include "core/incremental_integration.h"
 #include "core/ingest.h"
 #include "core/query.h"
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "gen/workload.h"
 #include "obs/snapshot.h"
 #include "obs/stats.h"
@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
 
   AtypicalForest forest(workload->sensors.get(), grid,
                         analytics::DefaultForestParams());
-  cube::BottomUpCube severity_cube;
+  cube::RegionDayMeasure severity_cube;
 
   // Attribute the archive damage to absolute days so every later query
   // reports the loss in its completeness annotation instead of silently
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     forest.InstallDay(day, std::move(day_micros));
     guard.Reset();
     integrator.Reset();
-    severity_cube.MergeFrom(cube::BottomUpCube::FromAtypical(
+    severity_cube.MergeFrom(cube::RegionDayMeasure::FromAtypical(
         validated, *workload->regions, grid));
 
     // What the guard absorbed becomes part of the day's provenance: a day

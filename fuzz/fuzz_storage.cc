@@ -29,6 +29,8 @@
 //   fuzz_storage [--iterations N] [--seed S] [--max-mutations M]
 //                [--records R] [--block-records B] [--verbose]
 //   fuzz_storage --corpus FILE [--records R] [--block-records B]
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -80,7 +82,10 @@ class FuzzHarness {
       pristine_keys_.insert(EncodeKey(r));
     }
 
-    path_ = StrPrintf("fuzz_storage_tmp_%u.atyp",
+    // The pid keeps concurrent harnesses (ctest -j runs the corpus replay
+    // and the smoke test side by side) off each other's file.
+    path_ = StrPrintf("fuzz_storage_tmp_%ld_%u.atyp",
+                      static_cast<long>(getpid()),
                       static_cast<unsigned>(block_records));
     storage::WriterOptions options;
     options.block_records = block_records;

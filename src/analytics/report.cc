@@ -40,8 +40,7 @@ AnalyticalQuery ExperimentContext::WholeAreaQuery(int num_days) const {
 
 QueryEngine ExperimentContext::MakeEngine(
     const QueryEngineOptions& options) const {
-  return QueryEngine(&network(), &regions(), forest.get(), &atypical_cube,
-                     options);
+  return QueryEngine(&network(), &regions(), forest.get(), &measure, options);
 }
 
 std::unique_ptr<ExperimentContext> BuildContext(WorkloadScale scale,
@@ -61,7 +60,7 @@ std::unique_ptr<ExperimentContext> BuildContext(WorkloadScale scale,
     std::vector<AtypicalRecord> records =
         ctx->workload->generator->GenerateMonthAtypical(month);
     ctx->forest->AddRecords(records);
-    ctx->atypical_cube.MergeFrom(cube::BottomUpCube::FromAtypical(
+    ctx->measure.MergeFrom(cube::RegionDayMeasure::FromAtypical(
         records, *ctx->workload->regions,
         ctx->workload->gen_config.time_grid));
     ctx->monthly_atypical.push_back(std::move(records));

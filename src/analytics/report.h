@@ -1,7 +1,7 @@
 // Shared experiment plumbing for the figure-reproduction benches and the
 // end-to-end examples: build a workload, materialize the forest and the
-// atypical cube over a span of months, and expose the pieces the paper's
-// experiments combine.
+// region×day severity measure over a span of months, and expose the pieces
+// the paper's experiments combine.
 #ifndef ATYPICAL_ANALYTICS_REPORT_H_
 #define ATYPICAL_ANALYTICS_REPORT_H_
 
@@ -13,7 +13,7 @@
 #include "core/forest.h"
 #include "core/ingest.h"
 #include "core/query.h"
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "gen/workload.h"
 #include "storage/reader.h"
 
@@ -26,7 +26,7 @@ struct ExperimentContext {
   // Atypical records per generated month (index = month).
   std::vector<std::vector<AtypicalRecord>> monthly_atypical;
   std::unique_ptr<AtypicalForest> forest;
-  cube::BottomUpCube atypical_cube;  // MC cube over all generated months
+  cube::RegionDayMeasure measure;  // region×day severity over all months
   ForestParams forest_params;
 
   const SensorNetwork& network() const { return *workload->sensors; }
@@ -53,7 +53,7 @@ SignificanceParams DefaultSignificanceParams();
 QueryEngineOptions DefaultEngineOptions();
 
 // Generates `num_months` months, builds daily micro-clusters and the
-// atypical cube.
+// region×day severity measure.
 std::unique_ptr<ExperimentContext> BuildContext(
     WorkloadScale scale, int num_months,
     const ForestParams& params = DefaultForestParams(), uint64_t seed = 1);

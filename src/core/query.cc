@@ -24,17 +24,17 @@ const char* QueryStrategyName(QueryStrategy strategy) {
 QueryEngine::QueryEngine(const SensorNetwork* network,
                          const SpatialPartition* regions,
                          const AtypicalForest* forest,
-                         const cube::BottomUpCube* atypical_cube,
+                         const cube::RegionDayMeasure* measure,
                          const QueryEngineOptions& options)
     : network_(network),
       regions_(regions),
       forest_(forest),
-      atypical_cube_(atypical_cube),
+      measure_(measure),
       options_(options) {
   CHECK(network != nullptr);
   CHECK(regions != nullptr);
   CHECK(forest != nullptr);
-  CHECK(atypical_cube != nullptr);
+  CHECK(measure != nullptr);
 }
 
 double QueryEngine::ThresholdFor(const AnalyticalQuery& query) const {
@@ -210,7 +210,7 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
           regions_->RegionsInRect(query.area);
       result.cost.regions_checked = regions_in_w.size();
       const std::vector<RegionId> red = cube::ComputeRedZones(
-          *atypical_cube_, regions_in_w, query.days, result.threshold);
+          *measure_, regions_in_w, query.days, result.threshold);
       result.cost.red_zones = red.size();
       micros = cube::FilterByRedZones(std::move(micros), red, *regions_,
                                       options_.red_zone_mode);

@@ -6,9 +6,10 @@
 //             themselves significant at the query's threshold (fast, but
 //             misses significant macro-clusters built from trivial micros —
 //             Example 6);
-//   kGuided — Algorithm 4: compute red zones from the bottom-up cube, prune
-//             micro-clusters outside them, integrate the rest, optionally
-//             post-check severities to remove false positives.
+//   kGuided — Algorithm 4: compute red zones from the region×day severity
+//             measure, prune micro-clusters outside them, integrate the
+//             rest, optionally post-check severities to remove false
+//             positives.
 #ifndef ATYPICAL_CORE_QUERY_H_
 #define ATYPICAL_CORE_QUERY_H_
 
@@ -18,7 +19,7 @@
 #include "core/integration.h"
 #include "core/significance.h"
 #include "cps/spatial_partition.h"
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "cube/red_zone.h"
 #include "util/hot_path.h"
 
@@ -128,8 +129,8 @@ struct QueryScratch {
   std::vector<const AtypicalCluster*> micros_in_range;
 };
 
-// Online query processor over a built forest.  The atypical cube drives the
-// red-zone guidance; it must cover the forest's data.
+// Online query processor over a built forest.  The region×day severity
+// measure drives the red-zone guidance; it must cover the forest's data.
 class QueryEngine {
  public:
   // The engine only ever reads the forest: queries draw result ids from a
@@ -137,7 +138,7 @@ class QueryEngine {
   // and concurrent Run() calls never race a writer through the engine.
   QueryEngine(const SensorNetwork* network, const SpatialPartition* regions,
               const AtypicalForest* forest,
-              const cube::BottomUpCube* atypical_cube,
+              const cube::RegionDayMeasure* measure,
               const QueryEngineOptions& options);
 
   const QueryEngineOptions& options() const { return options_; }
@@ -180,7 +181,7 @@ class QueryEngine {
   const SensorNetwork* network_;
   const SpatialPartition* regions_;
   const AtypicalForest* forest_;
-  const cube::BottomUpCube* atypical_cube_;
+  const cube::RegionDayMeasure* measure_;
   QueryEngineOptions options_;
 };
 

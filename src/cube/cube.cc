@@ -7,9 +7,9 @@
 namespace atypical {
 namespace cube {
 
-void BottomUpCube::AddAtypical(const AtypicalRecord& r,
-                               const SpatialPartition& regions,
-                               const TimeGrid& grid) {
+void CubeView::AddAtypical(const AtypicalRecord& r,
+                           const SpatialPartition& regions,
+                           const TimeGrid& grid) {
   const RegionId region = regions.RegionOfSensor(r.sensor);
   const int day = grid.DayOfWindow(r.window);
   const double severity = r.severity_minutes;
@@ -25,10 +25,10 @@ void BottomUpCube::AddAtypical(const AtypicalRecord& r,
   bump(CubeLevel::kRegionWeek, region, WeekOfDay(day));
 }
 
-BottomUpCube BottomUpCube::FromReadings(const Dataset& dataset,
-                                        const SpatialPartition& regions) {
+CubeView CubeView::FromReadings(const Dataset& dataset,
+                                const SpatialPartition& regions) {
   Stopwatch timer;
-  BottomUpCube cube;
+  CubeView cube;
   for (LevelMap& level : cube.levels_) {
     PerturbedReserve(level, dataset.readings().size() / 4 + 8);
   }
@@ -56,11 +56,11 @@ BottomUpCube BottomUpCube::FromReadings(const Dataset& dataset,
   return cube;
 }
 
-BottomUpCube BottomUpCube::FromAtypical(
+CubeView CubeView::FromAtypical(
     const std::vector<AtypicalRecord>& records, const SpatialPartition& regions,
     const TimeGrid& grid) {
   Stopwatch timer;
-  BottomUpCube cube;
+  CubeView cube;
   for (LevelMap& level : cube.levels_) {
     PerturbedReserve(level, records.size() / 4 + 8);
   }
@@ -74,7 +74,7 @@ BottomUpCube BottomUpCube::FromAtypical(
   return cube;
 }
 
-void BottomUpCube::MergeFrom(const BottomUpCube& other) {
+void CubeView::MergeFrom(const CubeView& other) {
   for (int level = 0; level < kNumCubeLevels; ++level) {
     // Per-key merge: each source key is visited exactly once and folded into
     // its own destination cell, so visitation order cannot change any sum.
@@ -92,36 +92,20 @@ void BottomUpCube::MergeFrom(const BottomUpCube& other) {
   build_stats_.byte_size = ByteSize();
 }
 
-const CubeCell* BottomUpCube::Lookup(CubeLevel level, uint32_t space,
-                                     int64_t time) const {
+const CubeCell* CubeView::Lookup(CubeLevel level, uint32_t space,
+                                 int64_t time) const {
   const LevelMap& map = levels_[static_cast<int>(level)];
   const auto it = map.find(CellKey(space, time));
   return it == map.end() ? nullptr : &it->second;
 }
 
-double BottomUpCube::RegionDaySeverity(RegionId region, int day) const {
-  const CubeCell* cell = Lookup(CubeLevel::kRegionDay, region, day);
-  return cell == nullptr ? 0.0 : cell->severity;
-}
-
-double BottomUpCube::F(const std::vector<RegionId>& regions,
-                       const DayRange& days) const {
-  double total = 0.0;
-  for (RegionId region : regions) {
-    for (int day = days.first_day; day <= days.last_day; ++day) {
-      total += RegionDaySeverity(region, day);
-    }
-  }
-  return total;
-}
-
-uint64_t BottomUpCube::num_cells() const {
+uint64_t CubeView::num_cells() const {
   uint64_t cells = 0;
   for (const LevelMap& map : levels_) cells += map.size();
   return cells;
 }
 
-uint64_t BottomUpCube::ByteSize() const {
+uint64_t CubeView::ByteSize() const {
   // Hash-map overhead is implementation-defined; report the payload a
   // compact serialization would need: key + cell per cell.
   return num_cells() * (sizeof(uint64_t) + sizeof(CubeCell));

@@ -1,6 +1,7 @@
-// The bottom-up aggregation baseline (CubeView-style, §II.A) and the
-// distributive total-severity measure F(W, T) (Property 4) that guides the
-// red-zone filter.
+// The CubeView baseline of §II.A: bottom-up aggregation along the
+// pre-defined hierarchies of cube/hierarchy.h.  It is the paper's OC/MC
+// comparison point for Figs. 15/16 and nothing more — query guidance reads
+// the region×day severity table in cube/measure.h instead.
 //
 // Two construction modes mirror the paper's baselines:
 //   * FromReadings  — "original CubeView" (OC): aggregates every reading,
@@ -8,9 +9,9 @@
 //   * FromAtypical  — "modified CubeView" (MC): aggregates only atypical
 //     records, measure = total severity.
 //
-// Cells are materialized at the granularities in cube::CubeLevel; F(W, T)
-// sums region×day cells, which is exact because total severity is
-// distributive over any partition of (W, T).
+// Cells are materialized at every granularity in cube::CubeLevel, each
+// level a hash map, so the baseline's build time and size are not
+// understated.
 #ifndef ATYPICAL_CUBE_CUBE_H_
 #define ATYPICAL_CUBE_CUBE_H_
 
@@ -21,6 +22,7 @@
 #include "cps/record.h"
 #include "cps/spatial_partition.h"
 #include "cube/hierarchy.h"
+#include "cube/measure.h"
 
 namespace atypical {
 namespace cube {
@@ -39,31 +41,24 @@ struct CubeBuildStats {
   uint64_t byte_size = 0;
 };
 
-class BottomUpCube {
+class CubeView {
  public:
   // OC: aggregates every reading of `dataset` into the cube.
-  static BottomUpCube FromReadings(const Dataset& dataset,
-                                   const SpatialPartition& regions);
+  static CubeView FromReadings(const Dataset& dataset,
+                               const SpatialPartition& regions);
 
   // MC: aggregates only atypical records.
-  static BottomUpCube FromAtypical(const std::vector<AtypicalRecord>& records,
-                                   const SpatialPartition& regions,
-                                   const TimeGrid& grid);
+  static CubeView FromAtypical(const std::vector<AtypicalRecord>& records,
+                               const SpatialPartition& regions,
+                               const TimeGrid& grid);
 
-  BottomUpCube() = default;
+  CubeView() = default;
 
   // Merges another cube built over the same regions/grid (used to accumulate
   // months).  Distributivity makes this exact.
-  void MergeFrom(const BottomUpCube& other);
+  void MergeFrom(const CubeView& other);
 
   const CubeCell* Lookup(CubeLevel level, uint32_t space, int64_t time) const;
-
-  // Total severity F(W', T) for a set of regions and a day range
-  // (the red-zone guidance measure; Property 4/5).
-  double F(const std::vector<RegionId>& regions, const DayRange& days) const;
-
-  // Severity of a single (region, day) cell.
-  double RegionDaySeverity(RegionId region, int day) const;
 
   uint64_t num_cells() const;
   uint64_t ByteSize() const;
@@ -82,6 +77,11 @@ class BottomUpCube {
   LevelMap levels_[kNumCubeLevels];
   CubeBuildStats build_stats_;
 };
+
+// Perfbench-only spelling: perfbench/pipeline_bench.cc still calls the
+// serving measure by its old name.  Delete this with the next benchmark
+// change; nothing else may use it.
+using BottomUpCube = RegionDayMeasure;
 
 }  // namespace cube
 }  // namespace atypical

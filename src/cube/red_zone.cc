@@ -7,14 +7,14 @@
 namespace atypical {
 namespace cube {
 
-std::vector<RegionId> ComputeRedZones(const BottomUpCube& atypical_cube,
+std::vector<RegionId> ComputeRedZones(const RegionDayMeasure& measure,
                                       const std::vector<RegionId>& regions_in_w,
                                       const DayRange& days, double threshold) {
   std::vector<RegionId> red;
   for (RegionId region : regions_in_w) {
     double f = 0.0;
     for (int day = days.first_day; day <= days.last_day; ++day) {
-      f += atypical_cube.RegionDaySeverity(region, day);
+      f += measure.RegionDaySeverity(region, day);
       if (f >= threshold) break;  // already qualifies
     }
     if (f >= threshold) red.push_back(region);

@@ -15,7 +15,7 @@
 
 #include "core/cluster.h"
 #include "cps/spatial_partition.h"
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "util/hot_path.h"
 
 namespace atypical {
@@ -24,7 +24,7 @@ namespace cube {
 // Regions among `regions_in_w` whose total severity over `days` reaches
 // `threshold` (= δs·length(T)·N computed by the caller).
 ATYPICAL_HOT std::vector<RegionId> ComputeRedZones(
-    const BottomUpCube& atypical_cube,
+    const RegionDayMeasure& measure,
     const std::vector<RegionId>& regions_in_w, const DayRange& days,
     double threshold);
 

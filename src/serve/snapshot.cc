@@ -57,7 +57,7 @@ std::shared_ptr<const ForestSnapshot> ServingForest::PublishSnapshot() {
   auto snapshot = std::make_shared<const ForestSnapshot>(
       next_epoch_++, network_, regions_,
       std::make_shared<const AtypicalForest>(staging_),
-      std::make_shared<const cube::BottomUpCube>(cube_), options_);
+      std::make_shared<const cube::RegionDayMeasure>(cube_), options_);
   store_.PublishSnapshot(snapshot);
 
   publishes->Add(1);

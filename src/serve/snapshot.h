@@ -5,8 +5,9 @@
 // ingest side keeps adding days and re-materializing levels.  The contract
 // here is epoch-swapped immutability:
 //
-//   * a ForestSnapshot is one frozen epoch — forest, cube, and a
-//     QueryEngine bound to them, all const after construction;
+//   * a ForestSnapshot is one frozen epoch — forest, region×day severity
+//     measure (`cube`), and a QueryEngine bound to them, all const after
+//     construction;
 //   * readers AcquireSnapshot() (a shared_ptr copy under a Mutex held for
 //     nanoseconds) and then run queries without any synchronization at all
 //     — nothing they touch can change;
@@ -28,7 +29,7 @@
 
 #include "core/forest.h"
 #include "core/query.h"
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "util/sync.h"
 #include "util/thread_annotations.h"
 
@@ -43,7 +44,7 @@ struct ForestSnapshot {
   ForestSnapshot(uint64_t epoch_in, const SensorNetwork* network,
                  const SpatialPartition* regions,
                  std::shared_ptr<const AtypicalForest> forest_in,
-                 std::shared_ptr<const cube::BottomUpCube> cube_in,
+                 std::shared_ptr<const cube::RegionDayMeasure> cube_in,
                  const QueryEngineOptions& options)
       : epoch(epoch_in),
         forest(std::move(forest_in)),
@@ -52,7 +53,7 @@ struct ForestSnapshot {
 
   const uint64_t epoch;
   const std::shared_ptr<const AtypicalForest> forest;
-  const std::shared_ptr<const cube::BottomUpCube> cube;
+  const std::shared_ptr<const cube::RegionDayMeasure> cube;
   const QueryEngine engine;  // bound to forest/cube above
 };
 
@@ -95,7 +96,7 @@ class ServingForest {
   // ---- writer side ----
   // The private staging forest/cube; mutate freely, then PublishSnapshot().
   AtypicalForest* staging_forest() { return &staging_; }
-  cube::BottomUpCube* staging_cube() { return &cube_; }
+  cube::RegionDayMeasure* staging_cube() { return &cube_; }
 
   // Clones the staging state into a new immutable epoch and swaps it in.
   // Returns the published snapshot.
@@ -115,7 +116,7 @@ class ServingForest {
   const SpatialPartition* regions_;
   QueryEngineOptions options_;
   AtypicalForest staging_;
-  cube::BottomUpCube cube_;
+  cube::RegionDayMeasure cube_;
   uint64_t next_epoch_ = 1;
   SnapshotStore store_;
 };

@@ -42,7 +42,7 @@ TEST(BuildContextTest, BuildsAConsistentStack) {
        ++r) {
     all.push_back(r);
   }
-  EXPECT_NEAR(ctx->atypical_cube.F(all, DayRange{0, 13}), record_mass, 1e-3);
+  EXPECT_NEAR(ctx->measure.F(all, DayRange{0, 13}), record_mass, 1e-3);
 
   // Forest micro mass equals the records' total severity too.
   double micro_mass = 0.0;

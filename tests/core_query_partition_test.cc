@@ -23,14 +23,14 @@ class QueryPartitionTest : public ::testing::Test {
   // Builds an engine over an arbitrary partition (rebuilding the guidance
   // cube on it).
   struct Stack {
-    std::unique_ptr<cube::BottomUpCube> cube;
+    std::unique_ptr<cube::RegionDayMeasure> cube;
     std::unique_ptr<QueryEngine> engine;
   };
   static Stack MakeStack(const SpatialPartition* partition) {
     Stack stack;
-    stack.cube = std::make_unique<cube::BottomUpCube>();
+    stack.cube = std::make_unique<cube::RegionDayMeasure>();
     for (const auto& month : ctx_->monthly_atypical) {
-      stack.cube->MergeFrom(cube::BottomUpCube::FromAtypical(
+      stack.cube->MergeFrom(cube::RegionDayMeasure::FromAtypical(
           month, *partition, ctx_->time_grid()));
     }
     stack.engine = std::make_unique<QueryEngine>(

@@ -206,7 +206,7 @@ TEST_F(QueryEngineTest, RunsAgainstConstForest) {
   const AtypicalForest& frozen = *ctx_->forest;  // const view, same forest
   const QueryEngineOptions options = analytics::DefaultEngineOptions();
   const QueryEngine const_engine(&ctx_->network(), &ctx_->regions(), &frozen,
-                                 &ctx_->atypical_cube, options);
+                                 &ctx_->measure, options);
   const AnalyticalQuery query = ctx_->WholeAreaQuery(14);
   for (const QueryStrategy strategy :
        {QueryStrategy::kAll, QueryStrategy::kPrune, QueryStrategy::kGuided}) {

@@ -16,7 +16,8 @@ class RedZoneTest : public ::testing::Test {
   RedZoneTest() : workload_(MakeWorkload(WorkloadScale::kTiny, 23)) {
     records_ = workload_->generator->GenerateMonthAtypical(0);
     grid_ = workload_->gen_config.time_grid;
-    cube_ = BottomUpCube::FromAtypical(records_, *workload_->regions, grid_);
+    cube_ =
+        RegionDayMeasure::FromAtypical(records_, *workload_->regions, grid_);
     for (RegionId r = 0;
          r < static_cast<RegionId>(workload_->regions->num_regions()); ++r) {
       all_regions_.push_back(r);
@@ -26,7 +27,7 @@ class RedZoneTest : public ::testing::Test {
   std::unique_ptr<Workload> workload_;
   std::vector<AtypicalRecord> records_;
   TimeGrid grid_;
-  BottomUpCube cube_;
+  RegionDayMeasure cube_;
   std::vector<RegionId> all_regions_;
 };
 

@@ -12,7 +12,7 @@
 
 #include "analytics/report.h"
 #include "core/ingest.h"
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "gen/workload.h"
 #include "storage/reader.h"
 #include "storage/writer.h"
@@ -80,7 +80,7 @@ class DegradationEndToEndTest : public ::testing::Test {
   // through the robust guard (kBuffer), mirroring the production path.
   struct Built {
     std::unique_ptr<AtypicalForest> forest;
-    std::unique_ptr<cube::BottomUpCube> cube;
+    std::unique_ptr<cube::RegionDayMeasure> cube;
     IngestStats ingest;
   };
   Built Build(const Dataset& source, const SalvageReport* report) {
@@ -102,8 +102,9 @@ class DegradationEndToEndTest : public ::testing::Test {
       built.ingest = guard.stats();
     }
     built.forest->AddRecords(accepted);
-    built.cube = std::make_unique<cube::BottomUpCube>(
-        cube::BottomUpCube::FromAtypical(accepted, *workload_->regions, grid_));
+    built.cube = std::make_unique<cube::RegionDayMeasure>(
+        cube::RegionDayMeasure::FromAtypical(accepted, *workload_->regions,
+                                             grid_));
 
     if (report != nullptr) {
       // Storage loss attributed per day, quarantine charged to the range's
@@ -265,8 +266,9 @@ TEST_F(DegradationEndToEndTest, QuarantineShowsUpInCompleteness) {
   }
   ASSERT_GT(built.ingest.quarantined(), 0u);
   built.forest->AddRecords(accepted);
-  built.cube = std::make_unique<cube::BottomUpCube>(
-      cube::BottomUpCube::FromAtypical(accepted, *workload_->regions, grid_));
+  built.cube = std::make_unique<cube::RegionDayMeasure>(
+      cube::RegionDayMeasure::FromAtypical(accepted, *workload_->regions,
+                                           grid_));
   DayProvenance p;
   p.records_quarantined = built.ingest.quarantined();
   built.forest->RecordDayProvenance(pristine_.meta().first_day, p);

@@ -1,9 +1,12 @@
 // Shuffle-the-bucket-count regression (DESIGN §13): the analyze pipeline —
-// retrieval (Algorithm 1), integration (Algorithm 3), cube build — must produce bit-identical results while unordered-container
-// hash layouts are perturbed underneath it via PerturbedReserve.  This is
+// retrieval (Algorithm 1), integration (Algorithm 3), the region×day
+// measure and the hash-mapped CubeView baseline — must produce bit-identical
+// results while unordered-container hash layouts are perturbed underneath
+// it via PerturbedReserve.  This is
 // the runtime counterpart of the AL009/AL012 static checks: if an iteration
 // order ever leaks into ids, output, or float accumulation again, the
 // fingerprints below diverge.
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -52,8 +55,40 @@ void AppendCluster(const AtypicalCluster& c, std::ostringstream* out) {
 
 struct PipelineFingerprint {
   std::string serial;
-  std::string cube;
+  std::string measure;
+  std::string cube_view;
 };
+
+// Every cell of every CubeView level over a fixed key grid, missing cells
+// included, so a hash-order leak into any level's sums shows up.
+std::string CubeViewFingerprint(const cube::CubeView& view, int num_regions,
+                                int num_sensors, int num_days) {
+  std::ostringstream out;
+  out << view.num_cells() << '|' << view.ByteSize() << '|';
+  const auto append_level = [&](cube::CubeLevel level, int spaces,
+                                int64_t times) {
+    for (int space = 0; space < spaces; ++space) {
+      for (int64_t time = 0; time < times; ++time) {
+        const cube::CubeCell* cell =
+            view.Lookup(level, static_cast<uint32_t>(space), time);
+        if (cell == nullptr) {
+          out << '-';
+          continue;
+        }
+        out << cell->count << ':';
+        AppendBits(cell->severity, &out);
+        AppendBits(cell->value_minutes, &out);
+      }
+    }
+    out << '|';
+  };
+  append_level(cube::CubeLevel::kRegionHour, num_regions, num_days * 24);
+  append_level(cube::CubeLevel::kSensorDay, num_sensors, num_days);
+  append_level(cube::CubeLevel::kRegionDay, num_regions, num_days);
+  append_level(cube::CubeLevel::kRegionWeek, num_regions,
+               cube::WeekOfDay(num_days - 1) + 1);
+  return out.str();
+}
 
 PipelineFingerprint RunPipeline() {
   std::unique_ptr<Workload> workload = MakeWorkload(WorkloadScale::kTiny, 29);
@@ -72,23 +107,36 @@ PipelineFingerprint RunPipeline() {
   const std::vector<AtypicalCluster> serial =
       IntegrateClusters(micros, base, &serial_ids);
 
-  const cube::BottomUpCube cube =
-      cube::BottomUpCube::FromAtypical(records, *workload->regions, grid);
+  const cube::RegionDayMeasure measure =
+      cube::RegionDayMeasure::FromAtypical(records, *workload->regions, grid);
+
+  // Two halves merged, so the per-key CubeView merge is covered as well.
+  const auto middle = records.begin() + static_cast<std::ptrdiff_t>(
+                                            records.size() / 2);
+  cube::CubeView view = cube::CubeView::FromAtypical(
+      std::vector<AtypicalRecord>(records.begin(), middle), *workload->regions,
+      grid);
+  view.MergeFrom(cube::CubeView::FromAtypical(
+      std::vector<AtypicalRecord>(middle, records.end()), *workload->regions,
+      grid));
 
   PipelineFingerprint fp;
   std::ostringstream s;
   for (const AtypicalCluster& c : serial) AppendCluster(c, &s);
   fp.serial = s.str();
   std::ostringstream q;
-  q << cube.num_cells() << '|' << cube.ByteSize() << '|';
-  const auto num_regions =
-      static_cast<RegionId>(workload->regions->num_regions());
-  for (RegionId region = 0; region < num_regions; ++region) {
-    for (int day = 0; day < 31; ++day) {
-      AppendBits(cube.RegionDaySeverity(region, day), &q);
+  q << measure.ByteSize() << '|';
+  const int num_regions = workload->regions->num_regions();
+  constexpr int kDays = 31;
+  for (RegionId region = 0; region < static_cast<RegionId>(num_regions);
+       ++region) {
+    for (int day = 0; day < kDays; ++day) {
+      AppendBits(measure.RegionDaySeverity(region, day), &q);
     }
   }
-  fp.cube = q.str();
+  fp.measure = q.str();
+  fp.cube_view = CubeViewFingerprint(view, num_regions,
+                                     workload->sensors->num_sensors(), kDays);
   return fp;
 }
 
@@ -113,7 +161,8 @@ TEST_F(DeterminismRegressionTest, AnalyzeBitIdenticalAcrossHashLayouts) {
   SetHashLayoutPerturbation(0);
   const PipelineFingerprint baseline = RunPipeline();
   ASSERT_FALSE(baseline.serial.empty());
-  ASSERT_FALSE(baseline.cube.empty());
+  ASSERT_FALSE(baseline.measure.empty());
+  ASSERT_FALSE(baseline.cube_view.empty());
 
   for (const size_t perturbation : {size_t{257}, size_t{1031}, size_t{7919}}) {
     SetHashLayoutPerturbation(perturbation);
@@ -121,8 +170,11 @@ TEST_F(DeterminismRegressionTest, AnalyzeBitIdenticalAcrossHashLayouts) {
     EXPECT_EQ(baseline.serial, run.serial)
         << "serial integration output depends on hash layout (perturbation "
         << perturbation << ")";
-    EXPECT_EQ(baseline.cube, run.cube)
-        << "cube severities depend on hash layout (perturbation "
+    EXPECT_EQ(baseline.measure, run.measure)
+        << "region×day severities depend on hash layout (perturbation "
+        << perturbation << ")";
+    EXPECT_EQ(baseline.cube_view, run.cube_view)
+        << "CubeView cells depend on hash layout (perturbation "
         << perturbation << ")";
   }
 }

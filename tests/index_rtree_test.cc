@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cube/cube.h"
+#include "cube/measure.h"
 #include "gen/workload.h"
 #include "util/random.h"
 
@@ -128,8 +128,8 @@ TEST_F(RTreeTest, PartitionDrivesTheCubeAndRedZones) {
       workload_->generator->GenerateMonthAtypical(0);
   const TimeGrid grid = workload_->gen_config.time_grid;
   const RTreeLeafPartition partition(network(), 16);
-  const cube::BottomUpCube severity_cube =
-      cube::BottomUpCube::FromAtypical(records, partition, grid);
+  const cube::RegionDayMeasure severity_cube =
+      cube::RegionDayMeasure::FromAtypical(records, partition, grid);
   double total = 0.0;
   for (const AtypicalRecord& r : records)
     total += static_cast<double>(r.severity_minutes);

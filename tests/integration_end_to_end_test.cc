@@ -25,7 +25,7 @@ class EndToEndTest : public ::testing::Test {
     // back (PR), build the forest (AC) and the atypical cube (MC).
     forest_ = new AtypicalForest(workload_->sensors.get(), grid,
                                  analytics::DefaultForestParams());
-    cube_ = new cube::BottomUpCube();
+    cube_ = new cube::RegionDayMeasure();
     for (int month = 0; month < 2; ++month) {
       const Dataset ds = workload_->generator->GenerateMonth(month);
       const std::string path = ::testing::TempDir() + "/e2e_month" +
@@ -41,7 +41,7 @@ class EndToEndTest : public ::testing::Test {
           });
       CHECK_OK(scanned.status());
       forest_->AddRecords(atypical);
-      cube_->MergeFrom(cube::BottomUpCube::FromAtypical(
+      cube_->MergeFrom(cube::RegionDayMeasure::FromAtypical(
           atypical, *workload_->regions, grid));
       std::remove(path.c_str());
     }
@@ -67,12 +67,12 @@ class EndToEndTest : public ::testing::Test {
 
   static Workload* workload_;
   static AtypicalForest* forest_;
-  static cube::BottomUpCube* cube_;
+  static cube::RegionDayMeasure* cube_;
 };
 
 Workload* EndToEndTest::workload_ = nullptr;
 AtypicalForest* EndToEndTest::forest_ = nullptr;
-cube::BottomUpCube* EndToEndTest::cube_ = nullptr;
+cube::RegionDayMeasure* EndToEndTest::cube_ = nullptr;
 
 TEST_F(EndToEndTest, ForestHoldsBothMonths) {
   EXPECT_EQ(forest_->Days().size(), 14u);

@@ -4,11 +4,16 @@
 // const forest (the const-correctness regression this layer depends on).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <type_traits>
+#include <vector>
 
 #include "analytics/report.h"
 #include "core/query.h"
+#include "cube/red_zone.h"
 #include "serve/snapshot.h"
 #include "serve_test_util.h"
 
@@ -40,7 +45,7 @@ analytics::ExperimentContext* ServeSnapshotTest::ctx_ = nullptr;
 static_assert(
     std::is_constructible_v<QueryEngine, const SensorNetwork*,
                             const SpatialPartition*, const AtypicalForest*,
-                            const cube::BottomUpCube*,
+                            const cube::RegionDayMeasure*,
                             const QueryEngineOptions&>,
     "QueryEngine must be constructible over a const forest");
 
@@ -129,6 +134,50 @@ TEST_F(ServeSnapshotTest, SnapshotSurvivesServingForestMutation) {
 
   const QueryResult after = snap->engine.Run(query, QueryStrategy::kGuided);
   ExpectBitIdentical(before, after);
+}
+
+TEST_F(ServeSnapshotTest, OldEpochKeepsItsMeasureWhenStagedDaysChange) {
+  auto serving = MakeServing(*ctx_, analytics::DefaultEngineOptions());
+  StageMonth(*ctx_, 0, serving.get());
+  std::shared_ptr<const ForestSnapshot> old_epoch = serving->PublishSnapshot();
+
+  const AnalyticalQuery query = ctx_->WholeAreaQuery(7);
+  const std::vector<RegionId> regions =
+      ctx_->regions().RegionsInRect(query.area);
+  const double f_before = old_epoch->cube->F(regions, query.days);
+  ASSERT_GT(f_before, 0.0);
+  const QueryResult gui_before =
+      old_epoch->engine.Run(query, QueryStrategy::kGuided);
+  // A threshold only the doubled severities cross: no red zone now, at
+  // least one once month 0 counts twice.
+  double hottest = 0.0;
+  for (const RegionId r : regions) {
+    hottest = std::max(hottest, old_epoch->cube->F({r}, query.days));
+  }
+  const double threshold = 1.5 * hottest;
+  ASSERT_TRUE(cube::ComputeRedZones(*old_epoch->cube, regions, query.days,
+                                    threshold)
+                  .empty());
+
+  // The days the old epoch reads change in place: month 0's records are
+  // merged into the staging measure a second time.
+  serving->staging_cube()->MergeFrom(cube::RegionDayMeasure::FromAtypical(
+      ctx_->monthly_atypical[0], ctx_->regions(), ctx_->time_grid()));
+  std::shared_ptr<const ForestSnapshot> new_epoch = serving->PublishSnapshot();
+
+  EXPECT_EQ(std::bit_cast<uint64_t>(old_epoch->cube->F(regions, query.days)),
+            std::bit_cast<uint64_t>(f_before));
+  EXPECT_TRUE(cube::ComputeRedZones(*old_epoch->cube, regions, query.days,
+                                    threshold)
+                  .empty());
+  ExpectBitIdentical(gui_before,
+                     old_epoch->engine.Run(query, QueryStrategy::kGuided));
+
+  EXPECT_EQ(std::bit_cast<uint64_t>(new_epoch->cube->F(regions, query.days)),
+            std::bit_cast<uint64_t>(2.0 * f_before));
+  EXPECT_FALSE(cube::ComputeRedZones(*new_epoch->cube, regions, query.days,
+                                     threshold)
+                   .empty());
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ inline std::unique_ptr<ServingForest> MakeServing(
   auto serving = std::make_unique<ServingForest>(
       &ctx.network(), &ctx.regions(), ctx.time_grid(), ctx.forest_params,
       options);
-  serving->staging_cube()->MergeFrom(ctx.atypical_cube);
+  serving->staging_cube()->MergeFrom(ctx.measure);
   return serving;
 }
 
