@@ -13,7 +13,6 @@ ForestParams DefaultForestParams() {
   params.retrieval.use_index = true;
   params.integration.delta_sim = 0.5;
   params.integration.g = BalanceFunction::kArithmeticMean;
-  params.integration.use_candidate_index = true;
   return params;
 }
 

@@ -1,8 +1,5 @@
 #include "core/integration.h"
 
-#include <memory>
-
-#include "core/integration_internal.h"
 #include "core/merge.h"
 #include "obs/stats.h"
 #include "util/logging.h"
@@ -28,17 +25,13 @@ std::vector<AtypicalCluster> IntegrateClusters(
   size_t similarity_checks = 0;
   size_t merges = 0;
   size_t fixpoint_rounds = 0;
-  uint64_t index_compactions = 0;
   SimilarityScanStats scan_stats;
 
-  std::unique_ptr<integration_internal::CandidateIndex> index;
-  if (params.use_candidate_index) {
-    index = std::make_unique<integration_internal::CandidateIndex>(n);
-    for (size_t i = 0; i < n; ++i) {
-      index->AddKeys(clusters[i], static_cast<uint32_t>(i));
-    }
-    index->SealBaseline();
-  }
+  // Stage 0 of the fast path (DESIGN §11): a pair sharing no sensor has
+  // SimSF == 0 exactly and SimTF <= 1, so Sim <= 0.5 and it cannot exceed
+  // any δsim >= 0.5.  Below 0.5 every alive slot goes to ExceedsThreshold.
+  const bool skip_disjoint_sensors =
+      params.use_similarity_fast_path && params.delta_sim >= 0.5;
 
   // Greedy absorb: for each slot in ascending order, repeatedly merge the
   // lowest-numbered similar cluster into it until none qualifies, then move
@@ -48,7 +41,6 @@ std::vector<AtypicalCluster> IntegrateClusters(
   // so far is returned as-is (valid, possibly under-merged) and `converged`
   // reports the truncation.
   bool converged = true;
-  std::vector<uint32_t> candidates;
   for (size_t i = 0; i < n && converged; ++i) {
     if (!alive[i]) continue;
     bool merged_any = true;
@@ -62,33 +54,26 @@ std::vector<AtypicalCluster> IntegrateClusters(
         break;
       }
       ++fixpoint_rounds;
-      if (index != nullptr) {
-        index->Candidates(clusters[i], static_cast<uint32_t>(i), alive,
-                          &candidates);
-      } else {
-        candidates.clear();
-        for (size_t j = 0; j < n; ++j) {
-          if (j != i && alive[j]) candidates.push_back(static_cast<uint32_t>(j));
-        }
-      }
-      for (uint32_t j : candidates) {
+      for (size_t j = 0; j < n; ++j) {
+        if (j == i || !alive[j]) continue;
         ++similarity_checks;
+        if (skip_disjoint_sensors &&
+            clusters[i].spatial.signature().Disjoint(
+                clusters[j].spatial.signature())) {
+          if (RunsExactScan(clusters[i], clusters[j])) {
+            ++scan_stats.pruned_scans;
+          }
+          continue;
+        }
         if (ExceedsThreshold(clusters[i], clusters[j], params.g,
                              params.delta_sim, &scan_stats,
                              params.use_similarity_fast_path)) {
-          // Grow the cluster's key set; only j's keys can be new, and the
-          // postings for i's existing keys remain valid for the merged
-          // cluster, so index j's keys under slot i.
           AtypicalCluster merged = MergeClusters(clusters[i], clusters[j], ids);
           clusters[i] = std::move(merged);
           alive[j] = false;
-          if (index != nullptr) {
-            index->AddKeys(clusters[j], static_cast<uint32_t>(i));
-            if (index->MaybeCompact(alive)) ++index_compactions;
-          }
           ++merges;
           merged_any = true;
-          break;  // re-gather candidates for the grown cluster
+          break;  // re-scan against the grown cluster
         }
       }
     }
@@ -107,7 +92,6 @@ std::vector<AtypicalCluster> IntegrateClusters(
   local.merges = merges;
   local.exact_scans = scan_stats.exact_scans;
   local.pruned_scans = scan_stats.pruned_scans;
-  local.index_compactions = index_compactions;
   local.fixpoint_rounds = fixpoint_rounds;
   local.converged = converged;
   local.seconds = timer.ElapsedSeconds();
@@ -129,8 +113,6 @@ std::vector<AtypicalCluster> IntegrateClusters(
       obs::Registry()->GetCounter("similarity.exact_scans");
   static obs::Counter* const obs_pruned =
       obs::Registry()->GetCounter("similarity.pruned");
-  static obs::Counter* const obs_compactions =
-      obs::Registry()->GetCounter("integration.index_compactions");
   static obs::Histogram* const obs_seconds =
       obs::Registry()->GetHistogram("integration.seconds");
   static obs::Counter* const obs_partial =
@@ -144,7 +126,6 @@ std::vector<AtypicalCluster> IntegrateClusters(
   obs_rounds->Add(local.fixpoint_rounds);
   obs_exact_scans->Add(local.exact_scans);
   obs_pruned->Add(local.pruned_scans);
-  obs_compactions->Add(local.index_compactions);
   obs_seconds->Record(local.seconds);
 
   if (stats != nullptr) *stats = local;

@@ -4,10 +4,11 @@
 // pair qualifies (a fixpoint; merge order does not matter for feature
 // correctness by Property 3, but hard clustering makes the partition itself
 // order-dependent, so this implementation fixes a deterministic greedy
-// order).  The accelerated path restricts candidate pairs to clusters
-// sharing at least one spatial or temporal key via an inverted index —
-// disjoint clusters have similarity 0 and can never exceed δsim > 0, so the
-// result is bit-identical to the naive quadratic scan (tested).
+// order).  Each round scans every alive slot in ascending order.  With the
+// similarity fast path on and δsim >= 0.5, a pair whose spatial signatures
+// are disjoint is skipped before any similarity work: it shares no sensor,
+// so Sim = ½(0 + SimTF) <= 0.5 and it can never merge (DESIGN §11).  The
+// result is bit-identical to the literal quadratic loop (tested).
 #ifndef ATYPICAL_CORE_INTEGRATION_H_
 #define ATYPICAL_CORE_INTEGRATION_H_
 
@@ -21,10 +22,10 @@ namespace atypical {
 struct IntegrationParams {
   double delta_sim = 0.5;  // paper default
   BalanceFunction g = BalanceFunction::kArithmeticMean;  // paper default
-  bool use_candidate_index = true;
-  // Answer Sim > δsim via conservative upper bounds where possible
-  // (ExceedsThreshold, DESIGN §11).  Never changes results — the off
-  // setting exists for benchmarking and the bit-identity property tests.
+  // Answer Sim > δsim via the stage-0 shared-sensor rule and conservative
+  // upper bounds where possible (ExceedsThreshold, DESIGN §11).  Never
+  // changes results — the off setting exists for benchmarking and the
+  // bit-identity property tests.
   bool use_similarity_fast_path = true;
   // Degradation guards on the fixpoint loop (0 = unlimited).  When either
   // budget trips, integration stops merging and returns the partition
@@ -44,8 +45,6 @@ struct IntegrationStats {
   // the number of CommonSeverity evaluations the pure exact path runs.
   uint64_t exact_scans = 0;
   uint64_t pruned_scans = 0;
-  // Candidate-index posting-list compactions (lazy-deletion GC).
-  uint64_t index_compactions = 0;
   uint64_t fixpoint_rounds = 0;
   // False when a max_fixpoint_rounds / deadline_seconds guard stopped the
   // loop before the Algorithm 3 fixpoint: the output is a valid partition,

@@ -157,13 +157,7 @@ bool ExceedsThreshold(const AtypicalCluster& c1, const AtypicalCluster& c2,
                       SimilarityScanStats* stats, bool use_fast_path) {
   CHECK(c1.key_mode == c2.key_mode)
       << "temporal similarity across different key modes is meaningless";
-  // Would the pure exact path have run at least one CommonSeverity scan?
-  // (FeatureSimilarity skips the scan when either total is 0.)  Only such
-  // evaluations are counted, so exact + pruned always sums to the exact
-  // path's scan count and the pruning rate reads directly off the counters.
-  const bool scannable =
-      (c1.spatial.total() > 0.0 && c2.spatial.total() > 0.0) ||
-      (c1.temporal.total() > 0.0 && c2.temporal.total() > 0.0);
+  const bool scannable = RunsExactScan(c1, c2);
   if (!use_fast_path) {
     if (stats != nullptr && scannable) ++stats->exact_scans;
     return Similarity(c1, c2, g) > delta_sim;

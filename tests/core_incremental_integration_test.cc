@@ -84,7 +84,6 @@ void ExpectSameStats(const IntegrationStats& batch,
   EXPECT_EQ(batch.fixpoint_rounds, streamed.fixpoint_rounds);
   EXPECT_EQ(batch.exact_scans, streamed.exact_scans);
   EXPECT_EQ(batch.pruned_scans, streamed.pruned_scans);
-  EXPECT_EQ(batch.index_compactions, streamed.index_compactions);
   EXPECT_EQ(batch.converged, streamed.converged);
 }
 
@@ -105,7 +104,6 @@ struct EquivalenceCase {
   BalanceFunction g;
   double delta_sim;
   uint64_t seed;
-  bool use_index;
   bool use_fast_path;
 };
 
@@ -119,7 +117,6 @@ TEST_P(IncrementalEquivalenceTest, FinalizeBitIdenticalToBatch) {
   IntegrationParams params;
   params.g = c.g;
   params.delta_sim = c.delta_sim;
-  params.use_candidate_index = c.use_index;
   params.use_similarity_fast_path = c.use_fast_path;
 
   // Batch: number the micros, then integrate with the same generator — the
@@ -150,11 +147,8 @@ std::vector<EquivalenceCase> MakeCases() {
        {BalanceFunction::kMax, BalanceFunction::kArithmeticMean,
         BalanceFunction::kHarmonicMean}) {
     for (const double delta_sim : {0.25, 0.5}) {
-      for (const bool use_index : {true, false}) {
-        for (const bool use_fast_path : {true, false}) {
-          cases.push_back(
-              EquivalenceCase{g, delta_sim, seed++, use_index, use_fast_path});
-        }
+      for (const bool use_fast_path : {true, false}) {
+        cases.push_back(EquivalenceCase{g, delta_sim, seed++, use_fast_path});
       }
     }
   }

@@ -1,5 +1,5 @@
-// Algorithm 3: cluster integration — fixpoint semantics, naive/indexed
-// equivalence, and micro-id bookkeeping.
+// Algorithm 3: cluster integration — fixpoint semantics, scan accounting,
+// degradation budgets and micro-id bookkeeping.
 #include "core/integration.h"
 
 #include <set>
@@ -152,56 +152,6 @@ TEST(IntegrationTest, MicroIdsArePreservedAsPartition) {
   }
   EXPECT_EQ(output_micro_ids, input_ids);
   EXPECT_NEAR(output_severity, input_severity, 1e-6);
-}
-
-TEST(IntegrationTest, NaiveAndIndexedProduceIdenticalResults) {
-  // The candidate index only skips similarity-0 pairs, so outputs match the
-  // quadratic scan feature-for-feature.
-  ClusterIdGenerator ids_a(1);
-  ClusterIdGenerator ids_b(1);
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    Rng rng_a(seed);
-    Rng rng_b(seed);
-    std::vector<AtypicalCluster> micros_a = RandomMicros(70, 9, rng_a, &ids_a);
-    std::vector<AtypicalCluster> micros_b = RandomMicros(70, 9, rng_b, &ids_b);
-    for (const double delta_sim : {0.3, 0.5, 0.7}) {
-      IntegrationParams indexed;
-      indexed.delta_sim = delta_sim;
-      indexed.use_candidate_index = true;
-      IntegrationParams naive;
-      naive.delta_sim = delta_sim;
-      naive.use_candidate_index = false;
-      ClusterIdGenerator out_ids_a(1000);
-      ClusterIdGenerator out_ids_b(1000);
-      const auto a = IntegrateClusters(micros_a, indexed, &out_ids_a);
-      const auto b = IntegrateClusters(micros_b, naive, &out_ids_b);
-      ASSERT_EQ(a.size(), b.size()) << "seed " << seed << " δ " << delta_sim;
-      for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i].micro_ids, b[i].micro_ids) << "cluster " << i;
-        ASSERT_EQ(a[i].spatial.entries(), b[i].spatial.entries());
-        ASSERT_EQ(a[i].temporal.entries(), b[i].temporal.entries());
-      }
-    }
-  }
-}
-
-TEST(IntegrationTest, IndexReducesSimilarityChecks) {
-  Rng rng(11);
-  ClusterIdGenerator ids(1);
-  // Many clusters over a large key space: most pairs share nothing.
-  std::vector<AtypicalCluster> micros = RandomMicros(300, 4000, rng, &ids);
-  IntegrationParams indexed;
-  indexed.use_candidate_index = true;
-  IntegrationParams naive;
-  naive.use_candidate_index = false;
-  IntegrationStats indexed_stats;
-  IntegrationStats naive_stats;
-  ClusterIdGenerator ids2(10000);
-  IntegrateClusters(micros, indexed, &ids2, &indexed_stats);
-  IntegrateClusters(micros, naive, &ids2, &naive_stats);
-  EXPECT_LT(indexed_stats.similarity_checks,
-            naive_stats.similarity_checks / 5);
-  EXPECT_EQ(indexed_stats.output_clusters, naive_stats.output_clusters);
 }
 
 TEST(IntegrationTest, StatsAreConsistent) {

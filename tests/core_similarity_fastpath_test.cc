@@ -2,22 +2,28 @@
 // use_similarity_fast_path on or off, integration must produce bit-identical
 // output — same partition, same features, same ids — for every balance
 // function, threshold and input permutation.  This file property-tests that
-// contract end to end, and unit-tests the candidate-index compaction that
-// rides the same merge path.
+// contract end to end, and pins the boundary of the stage-0 "no shared
+// sensor, no merge" rule.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/integration.h"
-#include "core/integration_internal.h"
 #include "core/similarity.h"
 #include "util/random.h"
 
 namespace atypical {
 namespace {
+
+constexpr BalanceFunction kAllBalanceFunctions[] = {
+    BalanceFunction::kMax, BalanceFunction::kMin,
+    BalanceFunction::kArithmeticMean, BalanceFunction::kGeometricMean,
+    BalanceFunction::kHarmonicMean};
 
 std::vector<AtypicalCluster> RandomMicros(int count, uint32_t key_space,
                                           int keys_per_cluster, uint64_t seed,
@@ -76,10 +82,7 @@ RunFastAndExact(const std::vector<AtypicalCluster>& micros,
 }
 
 TEST(SimilarityFastPathPropertyTest, BitIdenticalAcrossFunctionsAndDeltas) {
-  for (const BalanceFunction g :
-       {BalanceFunction::kMax, BalanceFunction::kMin,
-        BalanceFunction::kArithmeticMean, BalanceFunction::kGeometricMean,
-        BalanceFunction::kHarmonicMean}) {
+  for (const BalanceFunction g : kAllBalanceFunctions) {
     for (const double delta_sim : {0.2, 0.45, 0.7}) {
       for (uint64_t seed = 1; seed <= 2; ++seed) {
         ClusterIdGenerator ids(1);
@@ -119,16 +122,6 @@ TEST(SimilarityFastPathPropertyTest, BitIdenticalUnderInputPermutations) {
     const auto [fast, exact] = RunFastAndExact(micros, params);
     ExpectIdentical(fast, exact);
   }
-}
-
-TEST(SimilarityFastPathPropertyTest, BitIdenticalWithoutCandidateIndex) {
-  ClusterIdGenerator ids(1);
-  const std::vector<AtypicalCluster> micros = RandomMicros(60, 8, 5, 7, &ids);
-  IntegrationParams params;
-  params.use_candidate_index = false;
-  params.delta_sim = 0.4;
-  const auto [fast, exact] = RunFastAndExact(micros, params);
-  ExpectIdentical(fast, exact);
 }
 
 TEST(SimilarityFastPathPropertyTest, FastPathPrunesTheScanBoundSeedWorkload) {
@@ -174,91 +167,98 @@ TEST(SimilarityFastPathPropertyTest, CollapseRegimeOnlyScansTrueMerges) {
   EXPECT_GT(fast_stats.pruned_scans, 0u);
 }
 
-// ---- candidate-index compaction ----
+// ---- stage-0 rule boundary ----
 
-using integration_internal::CandidateIndex;
-
-TEST(CandidateIndexTest, CompactionPreservesCandidateSets) {
-  // 16 clusters, 4 spatial + 4 temporal keys each, heavy key sharing.
+// Two micros with identical temporal features (SimTF == 1.0 exactly) and no
+// shared sensor (SimSF == 0.0): Sim is exactly 0.5 under every g.
+std::vector<AtypicalCluster> SameWindowsNoSharedSensor() {
   ClusterIdGenerator ids(1);
-  std::vector<AtypicalCluster> clusters;
-  for (uint32_t i = 0; i < 16; ++i) {
-    AtypicalCluster c;
-    c.id = ids.Next();
-    for (uint32_t j = 0; j < 4; ++j) {
-      c.spatial.Add((i + j) % 8, 1.0);
-      c.temporal.Add((i + 2 * j) % 8, 1.0);
-    }
-    clusters.push_back(std::move(c));
-  }
-  std::vector<bool> alive(clusters.size(), true);
-  CandidateIndex index(clusters.size());
-  for (uint32_t i = 0; i < clusters.size(); ++i) index.AddKeys(clusters[i], i);
-  index.SealBaseline();
-  // Below the watermark nothing compacts.
-  EXPECT_FALSE(index.MaybeCompact(alive));
-
-  // Simulate a run of merges: slot 0 absorbs slots 7..15, whose keys are
-  // re-posted under slot 0 and whose own postings go stale.
-  for (uint32_t j = 7; j < 16; ++j) {
-    index.AddKeys(clusters[j], 0);
-    alive[j] = false;
-  }
-  std::vector<uint32_t> before;
-  index.Candidates(clusters[0], 0, alive, &before);
-
-  // 128 baseline postings + 72 re-posts exceeds the 1.5× watermark (192).
-  EXPECT_TRUE(index.MaybeCompact(alive));
-  std::vector<uint32_t> after;
-  index.Candidates(clusters[0], 0, alive, &after);
-  EXPECT_EQ(before, after);
-  for (uint32_t slot : after) {
-    EXPECT_TRUE(alive[slot]);
-    EXPECT_NE(slot, 0u);
-  }
-  // Freshly re-armed at 2× the surviving size: no immediate re-trigger.
-  EXPECT_FALSE(index.MaybeCompact(alive));
-}
-
-TEST(CandidateIndexTest, UnsealedIndexNeverCompacts) {
-  AtypicalCluster c;
-  for (uint32_t k = 0; k < 40; ++k) c.spatial.Add(k, 1.0);
-  std::vector<bool> alive(4, true);
-  CandidateIndex index(4);
-  for (uint32_t i = 0; i < 4; ++i) index.AddKeys(c, i);
-  EXPECT_FALSE(index.MaybeCompact(alive));  // no SealBaseline() call
-}
-
-TEST(CandidateIndexTest, IntegrationRunCompactsOnCollapsingWorkload) {
-  // Identical micros all collapse into one macro: every merge re-posts a
-  // full cluster's keys, crossing the 1.5× watermark mid-run.  Output must
-  // match the naive (index-free) driver exactly.
-  ClusterIdGenerator ids(1);
-  std::vector<AtypicalCluster> micros;
-  for (int i = 0; i < 100; ++i) {
-    AtypicalCluster c;
+  std::vector<AtypicalCluster> micros(2);
+  for (uint32_t i = 0; i < 2; ++i) {
+    AtypicalCluster& c = micros[i];
     c.id = ids.Next();
     c.micro_ids = {c.id};
-    for (uint32_t k = 0; k < 4; ++k) {
-      c.spatial.Add(k, 2.0);
-      c.temporal.Add(k + 10, 3.0);
-    }
-    micros.push_back(std::move(c));
+    c.spatial.Add(10 + i, 6.0);
+    c.spatial.Add(20 + i, 4.0);
+    c.temporal.Add(3, 7.0);
+    c.temporal.Add(4, 3.0);
   }
-  IntegrationParams indexed;
-  indexed.delta_sim = 0.15;
-  IntegrationParams naive = indexed;
-  naive.use_candidate_index = false;
-  IntegrationStats indexed_stats;
-  IntegrationStats naive_stats;
-  ClusterIdGenerator ids_a(1000);
-  ClusterIdGenerator ids_b(1000);
-  const auto a = IntegrateClusters(micros, indexed, &ids_a, &indexed_stats);
-  const auto b = IntegrateClusters(micros, naive, &ids_b, &naive_stats);
-  ExpectIdentical(a, b);
-  ASSERT_EQ(a.size(), 1u);
-  EXPECT_GT(indexed_stats.index_compactions, 0u);
-  EXPECT_EQ(naive_stats.index_compactions, 0u);
+  return micros;
+}
+
+TEST(StageZeroRuleTest, PairAtExactlyHalfDoesNotMergeAndCountsAsPruned) {
+  const std::vector<AtypicalCluster> micros = SameWindowsNoSharedSensor();
+  for (const BalanceFunction g : kAllBalanceFunctions) {
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
+    ASSERT_EQ(TemporalSimilarity(micros[0], micros[1], g), 1.0);
+    ASSERT_EQ(SpatialSimilarity(micros[0], micros[1], g), 0.0);
+    ASSERT_EQ(Similarity(micros[0], micros[1], g), 0.5);
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = 0.5;  // 0.5 is not > 0.5
+    IntegrationStats fast_stats;
+    IntegrationStats exact_stats;
+    const auto [fast, exact] =
+        RunFastAndExact(micros, params, &fast_stats, &exact_stats);
+    EXPECT_EQ(fast.size(), 2u);
+    ExpectIdentical(fast, exact);
+    // Each slot rejects the other once: both verdicts come from the rule.
+    EXPECT_EQ(exact_stats.exact_scans, 2u);
+    EXPECT_EQ(fast_stats.exact_scans, 0u);
+    EXPECT_EQ(fast_stats.pruned_scans, 2u);
+  }
+}
+
+TEST(StageZeroRuleTest, BelowHalfTheRuleIsOffAndTimeAloneMerges) {
+  const std::vector<AtypicalCluster> micros = SameWindowsNoSharedSensor();
+  for (const BalanceFunction g : kAllBalanceFunctions) {
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = 0.4;
+    IntegrationStats fast_stats;
+    const auto [fast, exact] = RunFastAndExact(micros, params, &fast_stats);
+    ASSERT_EQ(fast.size(), 1u);
+    ExpectIdentical(fast, exact);
+    EXPECT_EQ(fast_stats.merges, 1u);
+    EXPECT_EQ(fast_stats.exact_scans, 1u);
+  }
+}
+
+TEST(StageZeroRuleTest, HarmonicMeanOfFractionsBelowOneStaysAtMostOne) {
+  // The rule's proof needs Balance(g, p1, p2) <= 1.0 for clamped fractions.
+  // For the harmonic mean 2·p1·p2 <= p1 + p2 holds exactly, and rounding is
+  // monotone, so the quotient cannot round above 1 — pinned here for the
+  // fractions nearest 1.
+  double p1 = 1.0;
+  for (int i = 0; i < 64; ++i) {
+    double p2 = 1.0;
+    for (int j = 0; j < 64; ++j) {
+      for (const BalanceFunction g : kAllBalanceFunctions) {
+        ASSERT_LE(Balance(g, p1, p2), 1.0)
+            << BalanceFunctionName(g) << " p1=" << p1 << " p2=" << p2;
+      }
+      p2 = std::nextafter(p2, 0.0);
+    }
+    p1 = std::nextafter(p1, 0.0);
+  }
+  // End to end: one tiny non-shared window puts each TF fraction just below
+  // 1.0, and the pair still does not merge at δsim = 0.5.  (The matching
+  // sensor mass keeps Σμ == Σν.)
+  std::vector<AtypicalCluster> micros = SameWindowsNoSharedSensor();
+  for (uint32_t i = 0; i < 2; ++i) {
+    micros[i].temporal.Add(8 + i, 0x1p-46);
+    micros[i].spatial.Add(30 + i, 0x1p-46);
+  }
+  const double tf = TemporalSimilarity(micros[0], micros[1],
+                                       BalanceFunction::kHarmonicMean);
+  EXPECT_LT(tf, 1.0);
+  EXPECT_GT(tf, 0.999);
+  IntegrationParams params;
+  params.g = BalanceFunction::kHarmonicMean;
+  const auto [fast, exact] = RunFastAndExact(micros, params);
+  EXPECT_EQ(fast.size(), 2u);
+  ExpectIdentical(fast, exact);
 }
 
 }  // namespace
