@@ -32,7 +32,11 @@ Checks
                                scripts/stats_schema.json (DESIGN §12), and
                                every `serve.*` name in its `servingMetrics`
                                list (DESIGN §16), so both metric sets stay
-                               closed and discoverable.
+                               closed and discoverable.  When the lint
+                               covers all of src/ (tree mode) it also runs
+                               the other direction: every name those lists
+                               hold must be registered by some src/ file,
+                               so a deleted metric cannot linger there.
   AL009 unordered-iteration    no iteration over std::unordered_map/set in
                                the deterministic modules (src/core, src/cube,
                                src/index): hash-layout order leaks into ids,
@@ -275,6 +279,8 @@ def check_nolint_justification(sf: SourceFile) -> list[Finding]:
 # --- AL002: obs metric naming ----------------------------------------------
 
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$")
+# A metric registration: Get{Counter,Gauge,Histogram}("name" ...).
+METRIC_CALL_RE = re.compile(r"Get(Counter|Gauge|Histogram)\(\s*\"([^\"]*)\"")
 
 
 def check_metric_names(sf: SourceFile) -> list[Finding]:
@@ -287,8 +293,7 @@ def check_metric_names(sf: SourceFile) -> list[Finding]:
         return []
     findings = []
     raw_text = "\n".join(sf.raw)
-    for m in re.finditer(
-            r"Get(Counter|Gauge|Histogram)\(\s*\"([^\"]*)\"", raw_text):
+    for m in METRIC_CALL_RE.finditer(raw_text):
         kind, name = m.group(1), m.group(2)
         line = raw_text.count("\n", 0, m.start()) + 1
         if suppressed(sf, line - 1, "AL002"):
@@ -348,8 +353,7 @@ def check_resilience_metrics(sf: SourceFile) -> list[Finding]:
         return []
     findings = []
     raw_text = "\n".join(sf.raw)
-    for m in re.finditer(
-            r"Get(Counter|Gauge|Histogram)\(\s*\"([^\"]*)\"", raw_text):
+    for m in METRIC_CALL_RE.finditer(raw_text):
         name = m.group(2)
         registry_key = None
         for prefix, (key, section) in REGISTERED_PREFIXES.items():
@@ -368,6 +372,45 @@ def check_resilience_metrics(sf: SourceFile) -> list[Finding]:
                 f"scripts/stats_schema.json {registry_key} "
                 f"({design_section})"))
     return findings
+
+
+def registered_metric_names(files: list[SourceFile]) -> set[str]:
+    """Every metric name the files pass to Get{Counter,Gauge,Histogram}."""
+    names: set[str] = set()
+    for sf in files:
+        names.update(m.group(2)
+                     for m in METRIC_CALL_RE.finditer("\n".join(sf.raw)))
+    return names
+
+
+def check_unregistered_schema_entries(schema_path: pathlib.Path,
+                                      schema_text: str,
+                                      registered: set[str]) -> list[Finding]:
+    """AL008's other direction: registry entries nothing registers."""
+    schema = json.loads(schema_text)
+    lines = schema_text.split("\n")
+    findings = []
+    for key, section in sorted(set(REGISTERED_PREFIXES.values())):
+        for name in schema.get(key, []):
+            if name in registered:
+                continue
+            line = next((i + 1 for i, text in enumerate(lines)
+                         if f'"{name}"' in text), 1)
+            findings.append(Finding(
+                schema_path, line, "AL008", "registered-metric",
+                f"{key} lists {name!r} but no src/ file registers it "
+                f"({section})"))
+    return findings
+
+
+def check_schema_registries_tree() -> list[Finding]:
+    """Tree mode: the schema registries against every src/ registration."""
+    src_files = [load(f) for glob in SOURCE_GLOBS
+                 for f in sorted((REPO / "src").rglob(glob))]
+    schema_path = REPO / "scripts" / "stats_schema.json"
+    return check_unregistered_schema_entries(
+        schema_path, schema_path.read_text(),
+        registered_metric_names(src_files))
 
 
 # --- AL003: CHECK/DCHECK side effects ---------------------------------------
@@ -1057,6 +1100,22 @@ def self_test() -> int:
                     want.setdefault(line, set()).add(check_id)
         if got != want:
             failures.append((fixture, want, got))
+    # AL008's registry direction: a schema listing one name that the clean
+    # fixture never registers must yield exactly that one finding.
+    probe_path = REPO / "scripts" / "stats_schema.json"
+    probe_text = json.dumps({
+        "servingMetrics": ["serve.requests", "serve.never_registered"],
+        "resilienceMetrics": ["fault.torn_writes", "degradation.records_lost"],
+    }, indent=2)
+    probe = check_unregistered_schema_entries(
+        probe_path, probe_text,
+        registered_metric_names([load(fixture_dir / "clean.cc")]))
+    if [(f.check, f.line) for f in probe] != [("AL008", 4)] or \
+            "serve.never_registered" not in probe[0].message:
+        print("SELF-TEST FAIL AL008 registry direction: expected one finding "
+              "for 'serve.never_registered' on line 4, got "
+              f"{[f.render() for f in probe]}", file=sys.stderr)
+        return 1
     if failures:
         for fixture, want, got in failures:
             rel = fixture.relative_to(REPO)
@@ -1095,6 +1154,8 @@ def main() -> int:
         return list_discards(paths)
 
     findings = lint_paths(paths)
+    if REPO / "src" in paths:
+        findings.extend(check_schema_registries_tree())
     if args.with_includes:
         findings.extend(check_headers_self_contained(jobs=args.jobs))
     for finding in findings:

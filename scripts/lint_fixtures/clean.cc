@@ -22,11 +22,11 @@ void Good() {
       obs::Registry()->GetCounter("fault.torn_writes");
   static obs::Counter* const lost =
       obs::Registry()->GetCounter("degradation.records_lost");
-  static obs::Counter* const hits =
-      obs::Registry()->GetCounter("serve.cache.hits");
+  static obs::Counter* const requests =
+      obs::Registry()->GetCounter("serve.requests");
   torn->Increment();
   lost->Increment();
-  hits->Increment();
+  requests->Increment();
 
   // CHECK/DCHECK over pure reads only.
   int n = 3;

@@ -37,12 +37,6 @@ QueryEngine::QueryEngine(const SensorNetwork* network,
   CHECK(measure != nullptr);
 }
 
-double QueryEngine::ThresholdFor(const AnalyticalQuery& query) const {
-  const int n = static_cast<int>(network_->SensorsInRect(query.area).size());
-  return SignificanceThreshold(options_.significance, query.days,
-                               forest_->time_grid(), n);
-}
-
 namespace {
 
 // Membership in the (sorted) sensors-of-W set.  Binary search over the

@@ -37,7 +37,7 @@ struct AnalyticalQuery {
 // const and safe against a concurrent materialization — and (b) the same
 // query on the same forest state returns bit-identical results, ids
 // included, no matter how many queries ran before or alongside it (the
-// serving layer's cached-equals-uncached contract, DESIGN §16).  The base
+// serving layer's served-equals-direct contract, DESIGN §16).  The base
 // sits far above every stored id (leaf micros count from 1, the incremental
 // integrator's scratch ids from 2^40), so result macro ids never collide
 // with the micro ids they reference.
@@ -155,10 +155,6 @@ class QueryEngine {
   ATYPICAL_HOT QueryResult Run(const AnalyticalQuery& query,
                                QueryStrategy strategy,
                                QueryScratch* scratch) const;
-
-  // The significance threshold δs·length(T)·N this engine would use for the
-  // query (exposed for evaluation code).
-  double ThresholdFor(const AnalyticalQuery& query) const;
 
  private:
   // Micro-clusters in range intersecting W, re-keyed to time-of-day.

@@ -1,7 +1,5 @@
 #include "serve/query_service.h"
 
-#include <utility>
-
 #include "obs/stats.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -11,8 +9,9 @@ namespace serve {
 
 QueryService::QueryService(const ServingForest* serving,
                            const ServeOptions& options)
-    : serving_(serving), cache_(options.cache_entries) {
+    : serving_(serving) {
   CHECK(serving != nullptr);
+  CHECK_EQ(options.cache_entries, 0u) << "QueryService has no result cache";
 }
 
 ServeReply QueryService::ServeQuery(const AnalyticalQuery& query,
@@ -33,29 +32,8 @@ ServeReply QueryService::ServeQuery(const AnalyticalQuery& query,
 
   ServeReply reply;
   reply.snapshot = serving_->AcquireSnapshot();
-  const ForestSnapshot& snap = *reply.snapshot;
-
-  // Epoch advance: lazily collect cache entries from epochs no new request
-  // can key into.  The epoch inside the key already guarantees correctness;
-  // this only reclaims memory.
-  uint64_t seen = gc_epoch_.load(std::memory_order_relaxed);
-  if (snap.epoch > seen &&
-      gc_epoch_.compare_exchange_strong(seen, snap.epoch,
-                                        std::memory_order_relaxed)) {
-    cache_.DropStaleEpochs(snap.epoch);
-  }
-
-  const QueryCacheKey key = QueryCacheKey::Make(
-      query, snap.engine.options().significance.delta_s, strategy, snap.epoch);
-  if (std::shared_ptr<const QueryResult> cached = cache_.FindCached(key)) {
-    reply.result = std::move(cached);
-    reply.cache_hit = true;
-    return reply;
-  }
-
-  reply.result = std::make_shared<QueryResult>(
-      snap.engine.Run(query, strategy, scratch));
-  cache_.StoreCached(key, reply.result);
+  reply.result = std::make_shared<const QueryResult>(
+      reply.snapshot->engine.Run(query, strategy, scratch));
   return reply;
 }
 

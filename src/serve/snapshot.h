@@ -109,8 +109,6 @@ class ServingForest {
   }
   uint64_t current_epoch() const { return store_.current_epoch(); }
 
-  const QueryEngineOptions& options() const { return options_; }
-
  private:
   const SensorNetwork* network_;
   const SpatialPartition* regions_;

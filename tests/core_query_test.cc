@@ -65,7 +65,6 @@ TEST_F(QueryEngineTest, ThresholdMatchesFormula) {
   EXPECT_EQ(result.num_sensors_in_w, ctx_->network().num_sensors());
   EXPECT_DOUBLE_EQ(result.threshold,
                    0.05 * 14 * result.num_sensors_in_w);
-  EXPECT_DOUBLE_EQ(Engine().ThresholdFor(query), result.threshold);
 }
 
 TEST_F(QueryEngineTest, PruneOnlyIntegratesSignificantMicros) {

@@ -1,11 +1,11 @@
-// Many-readers / one-writer pounding: reader threads serve a repeating query
-// mix (cache hits and misses, All/Pru/Gui in rotation) while the
-// writer keeps staging new days, re-materializing levels and publishing
-// epochs.  Every reply must be bit-identical to an uncached single-threaded
-// engine run on the reply's own snapshot.  Run under ThreadSanitizer (the
-// tsan CI job runs the whole ctest suite) this is the data-race proof for
-// the serving layer; in a plain build it still verifies the
-// cached-equals-uncached contract under real concurrency.
+// Many-readers / one-writer pounding: reader threads serve a rotating query
+// mix (shifting day ranges, All/Pru/Gui in rotation) while the writer keeps
+// staging new days, re-materializing levels and publishing epochs.  Every
+// reply must be bit-identical to a direct single-threaded engine run on the
+// reply's own snapshot.  Run under ThreadSanitizer (the tsan CI job runs
+// the whole ctest suite, then this test repeatedly) this is the data-race
+// proof for the serving layer; in a plain build it still verifies the
+// served-equals-direct contract under real concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -49,9 +49,7 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
   ++day_it;
   serving->PublishSnapshot();
 
-  ServeOptions options;
-  options.cache_entries = 64;
-  QueryService service(serving.get(), options);
+  QueryService service(serving.get());
 
   constexpr int kReaders = 4;
   constexpr int kQueriesPerReader = 150;
@@ -66,8 +64,8 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
       const ServeStrategy strategies[] = {
           ServeStrategy::kAll, ServeStrategy::kPrune, ServeStrategy::kGuided};
       for (int i = 0; i < kQueriesPerReader; ++i) {
-        // A small repeating pool of queries: repeats hit the cache, the
-        // day-offset ones miss, and epoch publishes reshuffle both.
+        // Three day ranges in rotation, each answered against whichever
+        // epoch is current when the request lands.
         AnalyticalQuery query = ctx->WholeAreaQuery(14);
         query.days = DayRange{(i % 3) * 2, (i % 3) * 2 + 6};
         const ServeStrategy strategy =
@@ -77,8 +75,8 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
         ASSERT_NE(reply.result, nullptr);
         ASSERT_NE(reply.snapshot, nullptr);
 
-        // The contract, checked against the exact snapshot served: an
-        // uncached, single-threaded run must agree bit for bit.
+        // The contract, checked against the exact snapshot served: a
+        // direct, single-threaded run must agree bit for bit.
         const QueryResult direct =
             reply.snapshot->engine.Run(query, strategy, &scratch);
         if (!BitIdentical(*reply.result, direct)) {
@@ -108,11 +106,6 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_TRUE(writer_done.load());
   EXPECT_GT(serving->current_epoch(), 1u);
-
-  // The repeating pool must have produced real cache traffic.
-  const QueryResultCache::CacheTotals totals = service.cache_totals();
-  EXPECT_GT(totals.hits, 0u);
-  EXPECT_GT(totals.misses, 0u);
 }
 
 }  // namespace

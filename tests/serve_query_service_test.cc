@@ -1,17 +1,37 @@
-// QueryService end-to-end: cached serving must be bit-identical to a direct
-// uncached engine run on the served snapshot, across strategies and across
-// epoch publishes.
+// QueryService end-to-end: a served answer must be bit-identical to a
+// direct engine run on the served snapshot, across strategies and across
+// epoch publishes; serving and publishing leave their counters behind.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "analytics/report.h"
+#include "obs/snapshot.h"
+#include "obs/stats.h"
 #include "serve/query_service.h"
 #include "serve_test_util.h"
 
 namespace atypical {
 namespace serve {
 namespace {
+
+uint64_t HistogramCount(const obs::StatsSnapshot& snapshot,
+                        const std::string& name) {
+  for (const obs::StatsSnapshot::HistogramData& h : snapshot.histograms) {
+    if (h.name == name) return h.count;
+  }
+  return 0;
+}
+
+int64_t GaugeValue(const obs::StatsSnapshot& snapshot,
+                   const std::string& name) {
+  for (const auto& [gauge, value] : snapshot.gauges) {
+    if (gauge == name) return value;
+  }
+  return 0;
+}
 
 class QueryServiceTest : public ::testing::Test {
  protected:
@@ -37,68 +57,59 @@ class QueryServiceTest : public ::testing::Test {
 
 analytics::ExperimentContext* QueryServiceTest::ctx_ = nullptr;
 
-TEST_F(QueryServiceTest, CachedEqualsUncachedAcrossStrategies) {
+TEST_F(QueryServiceTest, ServedEqualsDirectAcrossStrategies) {
   auto serving = ServingWithMonth0();
   QueryService service(serving.get());
   const AnalyticalQuery query = ctx_->WholeAreaQuery(7);
 
   for (const ServeStrategy strategy :
        {ServeStrategy::kAll, ServeStrategy::kPrune, ServeStrategy::kGuided}) {
-    const ServeReply miss = service.ServeQuery(query, strategy);
-    EXPECT_FALSE(miss.cache_hit) << QueryStrategyName(strategy);
-    const ServeReply hit = service.ServeQuery(query, strategy);
-    EXPECT_TRUE(hit.cache_hit) << QueryStrategyName(strategy);
-    EXPECT_EQ(hit.result.get(), miss.result.get())
-        << "a hit aliases the stored result";
-
-    // The contract: both replies equal a fresh single-threaded uncached run
-    // on exactly the snapshot they were served from.
-    const QueryResult direct =
-        hit.snapshot->engine.Run(query, strategy);
-    ExpectBitIdentical(*miss.result, direct);
-    ExpectBitIdentical(*hit.result, direct);
+    const ServeReply reply = service.ServeQuery(query, strategy);
+    ASSERT_NE(reply.result, nullptr) << QueryStrategyName(strategy);
+    ASSERT_NE(reply.snapshot, nullptr) << QueryStrategyName(strategy);
+    // The contract: the reply equals a direct single-threaded run on
+    // exactly the snapshot it was served from.
+    ExpectBitIdentical(*reply.result,
+                       reply.snapshot->engine.Run(query, strategy));
   }
 }
 
-TEST_F(QueryServiceTest, PublishInvalidatesByEpoch) {
+TEST_F(QueryServiceTest, PublishIsVisibleToNextRequest) {
   auto serving = ServingWithMonth0();
   QueryService service(serving.get());
   const AnalyticalQuery query = ctx_->WholeAreaQuery(14);
 
+  const obs::StatsSnapshot before_serve = obs::Registry()->Snapshot();
   const ServeReply first = service.ServeQuery(query, ServeStrategy::kAll);
-  ASSERT_TRUE(service.ServeQuery(query, ServeStrategy::kAll).cache_hit);
+  const obs::StatsSnapshot after_serve = obs::Registry()->Snapshot();
 
   StageMonth(*ctx_, 1, serving.get());
-  serving->PublishSnapshot();
+  const uint64_t epoch = serving->PublishSnapshot()->epoch;
+  const obs::StatsSnapshot after_publish = obs::Registry()->Snapshot();
 
-  // Same query, new epoch: the old entry cannot answer it.
+  // Same query, next request: it sees the new epoch and its extra data.
   const ServeReply fresh = service.ServeQuery(query, ServeStrategy::kAll);
-  EXPECT_FALSE(fresh.cache_hit);
+  EXPECT_EQ(fresh.snapshot->epoch, epoch);
   EXPECT_GT(fresh.snapshot->epoch, first.snapshot->epoch);
   EXPECT_GT(fresh.result->completeness.days_with_data,
             first.result->completeness.days_with_data);
   ExpectBitIdentical(*fresh.result,
                      fresh.snapshot->engine.Run(query, ServeStrategy::kAll));
 
-  // The epoch advance lazily collected the old epoch's entries.
-  EXPECT_GT(service.cache_totals().invalidations, 0u);
-}
-
-TEST_F(QueryServiceTest, EvictionAccountingUnderTinyCache) {
-  auto serving = ServingWithMonth0();
-  ServeOptions options;
-  options.cache_entries = 2;
-  QueryService service(serving.get(), options);
-
-  for (int day = 0; day < 4; ++day) {
-    AnalyticalQuery query = ctx_->WholeAreaQuery(7);
-    query.days = DayRange{day, day + 1};
-    service.ServeQuery(query, ServeStrategy::kAll);
-  }
-  const QueryResultCache::CacheTotals totals = service.cache_totals();
-  EXPECT_EQ(totals.entries, 2u);
-  EXPECT_EQ(totals.evictions, 2u);
-  EXPECT_EQ(totals.misses, 4u);
+  // One request and one publish each leave exactly one mark (none in a
+  // no-stats build).
+  const uint64_t one = ATYPICAL_STATS_ENABLED ? 1 : 0;
+  EXPECT_EQ(after_serve.CounterValue("serve.requests") -
+                before_serve.CounterValue("serve.requests"),
+            one);
+  EXPECT_EQ(HistogramCount(after_serve, "serve.request_seconds") -
+                HistogramCount(before_serve, "serve.request_seconds"),
+            one);
+  EXPECT_EQ(after_publish.CounterValue("serve.snapshot.publishes") -
+                after_serve.CounterValue("serve.snapshot.publishes"),
+            one);
+  EXPECT_EQ(GaugeValue(after_publish, "serve.snapshot.epoch"),
+            ATYPICAL_STATS_ENABLED ? static_cast<int64_t>(epoch) : 0);
 }
 
 }  // namespace
