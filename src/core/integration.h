@@ -4,11 +4,13 @@
 // pair qualifies (a fixpoint; merge order does not matter for feature
 // correctness by Property 3, but hard clustering makes the partition itself
 // order-dependent, so this implementation fixes a deterministic greedy
-// order).  Each round scans every alive slot in ascending order.  With the
-// similarity fast path on and δsim >= 0.5, a pair whose spatial signatures
-// are disjoint is skipped before any similarity work: it shares no sensor,
-// so Sim = ½(0 + SimTF) <= 0.5 and it can never merge (DESIGN §11).  The
-// result is bit-identical to the literal quadratic loop (tested).
+// order).  Each round scans a slot's candidates in ascending order.  At
+// δsim >= 0.5 the candidates are the alive slots that share a sensor with
+// it, found through per-call sensor postings: a pair sharing no sensor has
+// Sim = ½(0 + SimTF) <= 0.5 and can never merge (DESIGN §11).  Below 0.5
+// every alive slot is a candidate.  A slot's first scan starts past itself,
+// since every lower slot has already rejected it.  The result is
+// bit-identical to the literal quadratic loop (tested).
 #ifndef ATYPICAL_CORE_INTEGRATION_H_
 #define ATYPICAL_CORE_INTEGRATION_H_
 
@@ -22,9 +24,9 @@ namespace atypical {
 struct IntegrationParams {
   double delta_sim = 0.5;  // paper default
   BalanceFunction g = BalanceFunction::kArithmeticMean;  // paper default
-  // Answer Sim > δsim via the stage-0 shared-sensor rule and conservative
-  // upper bounds where possible (ExceedsThreshold, DESIGN §11).  Never
-  // changes results — the off setting exists for benchmarking and the
+  // Answer Sim > δsim via conservative upper bounds where possible
+  // (ExceedsThreshold, DESIGN §11).  Never changes results or the pairs
+  // evaluated — the off setting exists for benchmarking and the
   // bit-identity property tests.
   bool use_similarity_fast_path = true;
   // Degradation guards on the fixpoint loop (0 = unlimited).  When either
@@ -39,7 +41,7 @@ struct IntegrationParams {
 struct IntegrationStats {
   size_t input_clusters = 0;
   size_t output_clusters = 0;
-  size_t similarity_checks = 0;
+  size_t similarity_checks = 0;  // candidate pairs evaluated
   size_t merges = 0;
   // Scan accounting (SimilarityScanStats): exact_scans + pruned_scans is
   // the number of CommonSeverity evaluations the pure exact path runs.

@@ -44,6 +44,15 @@ double Balance(BalanceFunction g, double p1, double p2) {
 
 namespace {
 
+// Whether the pure exact path runs at least one CommonSeverity scan for the
+// pair (FeatureSimilarity skips the scan when either total is 0).  Only such
+// evaluations are counted in SimilarityScanStats, so exact + pruned always
+// sums to the exact path's scan count.
+bool RunsExactScan(const AtypicalCluster& c1, const AtypicalCluster& c2) {
+  return (c1.spatial.total() > 0.0 && c2.spatial.total() > 0.0) ||
+         (c1.temporal.total() > 0.0 && c2.temporal.total() > 0.0);
+}
+
 double FeatureSimilarity(const FeatureVector& f1, const FeatureVector& f2,
                          BalanceFunction g) {
   if (f1.total() <= 0.0 || f2.total() <= 0.0) return 0.0;

@@ -63,16 +63,6 @@ struct SimilarityScanStats {
   }
 };
 
-// Whether the pure exact path runs at least one CommonSeverity scan for the
-// pair (FeatureSimilarity skips the scan when either total is 0).  Only such
-// evaluations are counted in SimilarityScanStats, so exact + pruned always
-// sums to the exact path's scan count.
-inline bool RunsExactScan(const AtypicalCluster& c1,
-                          const AtypicalCluster& c2) {
-  return (c1.spatial.total() > 0.0 && c2.spatial.total() > 0.0) ||
-         (c1.temporal.total() > 0.0 && c2.temporal.total() > 0.0);
-}
-
 // Upper bound on Similarity(c1, c2, g) computed from the clusters'
 // feature signatures, totals, max entry severities and severity sketches —
 // O(kSignatureBuckets/64) words of work, no entry scans.  Guaranteed

@@ -52,9 +52,9 @@ std::vector<AtypicalCluster> ReferenceIntegrate(
 }
 
 // Sparse sensors over dense time-of-day windows, the shape query-time
-// inputs have: most pairs share a window, far fewer share a sensor, so the
-// stage-0 rule has pairs to skip.  Both features carry the same severities
-// (Σμ == Σν).
+// inputs have: most pairs share a window, far fewer share a sensor, so at
+// δsim >= 0.5 most pairs are never candidates.  Both features carry the
+// same severities (Σμ == Σν).
 std::vector<AtypicalCluster> RandomMicros(int count, uint64_t seed,
                                           ClusterIdGenerator* ids) {
   Rng rng(seed);
@@ -80,6 +80,46 @@ std::vector<AtypicalCluster> RandomMicros(int count, uint64_t seed,
   return out;
 }
 
+// Micros of a few dozen events over 400 sensors: each micro takes 1–3 of
+// its event's 5 sensors and 1–3 of its 4 windows, so same-event micros
+// chain into large macro-clusters through shared sensors while most pairs
+// share no sensor at all.  The merge-heavy regime, where candidate sets
+// grow through every absorbed slot.
+std::vector<AtypicalCluster> EventMicros(int count, uint64_t seed,
+                                         ClusterIdGenerator* ids) {
+  Rng rng(seed);
+  const int events = count / 6;
+  std::vector<uint32_t> first_sensor(events);
+  std::vector<uint32_t> first_window(events);
+  for (int e = 0; e < events; ++e) {
+    first_sensor[e] = static_cast<uint32_t>(rng.UniformInt(uint64_t{395}));
+    first_window[e] = static_cast<uint32_t>(rng.UniformInt(uint64_t{20}));
+  }
+  std::vector<AtypicalCluster> out;
+  for (int i = 0; i < count; ++i) {
+    const size_t e = rng.UniformInt(static_cast<uint64_t>(events));
+    AtypicalCluster c;
+    c.id = ids->Next();
+    c.micro_ids = {c.id};
+    c.key_mode = TemporalKeyMode::kTimeOfDay;
+    c.first_day = static_cast<int>(rng.UniformInt(uint64_t{20}));
+    c.last_day = c.first_day;
+    c.num_records = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{40}));
+    const int keys = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
+    for (int k = 0; k < keys; ++k) {
+      const double severity = rng.Uniform(0.5, 15.0);
+      c.spatial.Add(
+          first_sensor[e] + static_cast<uint32_t>(rng.UniformInt(uint64_t{5})),
+          severity);
+      c.temporal.Add(
+          first_window[e] + static_cast<uint32_t>(rng.UniformInt(uint64_t{4})),
+          severity);
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
 void ExpectSameAsReference(const std::vector<AtypicalCluster>& got,
                            const std::vector<AtypicalCluster>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -94,6 +134,43 @@ void ExpectSameAsReference(const std::vector<AtypicalCluster>& got,
     EXPECT_EQ(got[i].last_day, want[i].last_day) << "cluster " << i;
     EXPECT_EQ(got[i].num_records, want[i].num_records) << "cluster " << i;
   }
+}
+
+// Runs the driver, fast path off and on, against the oracle on `micros`
+// and returns the oracle's partition size.
+size_t ExpectDriverMatchesReference(const std::vector<AtypicalCluster>& micros,
+                                    BalanceFunction g, double delta_sim) {
+  ClusterIdGenerator ref_ids(1000);
+  const auto want = ReferenceIntegrate(micros, g, delta_sim, &ref_ids);
+  // The oracle's output is the Algorithm 3 fixpoint.
+  for (size_t i = 0; i < want.size(); ++i) {
+    for (size_t j = i + 1; j < want.size(); ++j) {
+      EXPECT_LE(Similarity(want[i], want[j], g), delta_sim);
+    }
+  }
+  IntegrationStats exact_stats;
+  for (const bool fast_path : {false, true}) {
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = delta_sim;
+    params.use_similarity_fast_path = fast_path;
+    ClusterIdGenerator ids(1000);
+    IntegrationStats stats;
+    const auto got = IntegrateClusters(micros, params, &ids, &stats);
+    SCOPED_TRACE(fast_path ? "fast path on" : "fast path off");
+    ExpectSameAsReference(got, want);
+    if (!fast_path) {
+      EXPECT_EQ(stats.pruned_scans, 0u);
+      exact_stats = stats;
+      continue;
+    }
+    // Every verdict the exact path scans, the fast path either scans or
+    // prunes.
+    EXPECT_EQ(stats.similarity_checks, exact_stats.similarity_checks);
+    EXPECT_EQ(stats.exact_scans + stats.pruned_scans,
+              exact_stats.exact_scans);
+  }
+  return want.size();
 }
 
 TEST(IntegrationReferenceTest, DriverMatchesLiteralAlgorithm3) {
@@ -115,37 +192,24 @@ TEST(IntegrationReferenceTest, DriverMatchesLiteralAlgorithm3) {
         SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g) +
                      " delta=" + std::to_string(delta_sim) +
                      " order=" + std::to_string(order));
-        ClusterIdGenerator ref_ids(1000);
-        const auto want = ReferenceIntegrate(micros, g, delta_sim, &ref_ids);
-        // The oracle's output is the Algorithm 3 fixpoint.
-        for (size_t i = 0; i < want.size(); ++i) {
-          for (size_t j = i + 1; j < want.size(); ++j) {
-            ASSERT_LE(Similarity(want[i], want[j], g), delta_sim);
-          }
-        }
-        IntegrationStats exact_stats;
-        for (const bool fast_path : {false, true}) {
-          IntegrationParams params;
-          params.g = g;
-          params.delta_sim = delta_sim;
-          params.use_similarity_fast_path = fast_path;
-          ClusterIdGenerator ids(1000);
-          IntegrationStats stats;
-          const auto got = IntegrateClusters(micros, params, &ids, &stats);
-          SCOPED_TRACE(fast_path ? "fast path on" : "fast path off");
-          ExpectSameAsReference(got, want);
-          if (!fast_path) {
-            EXPECT_EQ(stats.pruned_scans, 0u);
-            exact_stats = stats;
-            continue;
-          }
-          // Every verdict the exact path scans, the fast path either scans
-          // or prunes — stage-0 skips included.
-          EXPECT_EQ(stats.similarity_checks, exact_stats.similarity_checks);
-          EXPECT_EQ(stats.exact_scans + stats.pruned_scans,
-                    exact_stats.exact_scans);
-        }
+        ExpectDriverMatchesReference(micros, g, delta_sim);
       }
+    }
+  }
+}
+
+TEST(IntegrationReferenceTest, DriverMatchesLiteralAlgorithm3WhenMergeHeavy) {
+  for (const double delta_sim : {0.5, 0.75}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("delta=" + std::to_string(delta_sim) +
+                   " seed=" + std::to_string(seed));
+      ClusterIdGenerator micro_ids(1);
+      const std::vector<AtypicalCluster> micros =
+          EventMicros(240, seed, &micro_ids);
+      const size_t macros = ExpectDriverMatchesReference(
+          micros, BalanceFunction::kArithmeticMean, delta_sim);
+      // At least one input in five is absorbed.
+      EXPECT_LE(5 * macros, 4 * micros.size());
     }
   }
 }

@@ -94,18 +94,118 @@ TEST(IntegrationTest, MorningAndEveningJamsDoNotMerge) {
 
 TEST(IntegrationTest, TransitiveAbsorption) {
   // A~B and (A+B)~C even though A!~C: the fixpoint loop must catch the
-  // second merge after the first.
+  // second merge after the first.  At δsim = 0.5, A and C share no sensor,
+  // so C becomes a candidate of A only through B's sensor 3, once A has
+  // absorbed B.  Either way exactly two pairs are evaluated.
   ClusterIdGenerator ids(1);
   std::vector<AtypicalCluster> micros;
   micros.push_back(MakeMicro(&ids, {{1, 10.0}, {2, 10.0}}, {{5, 20.0}}));
   micros.push_back(MakeMicro(&ids, {{2, 10.0}, {3, 10.0}}, {{5, 20.0}}));
   micros.push_back(MakeMicro(&ids, {{3, 10.0}, {4, 10.0}}, {{5, 20.0}}));
+  for (const double delta_sim : {0.45, 0.5}) {
+    for (const bool fast_path : {false, true}) {
+      IntegrationParams params;
+      params.delta_sim = delta_sim;
+      params.use_similarity_fast_path = fast_path;
+      IntegrationStats stats;
+      const auto out = IntegrateClusters(micros, params, &ids, &stats);
+      ASSERT_EQ(out.size(), 1u) << "δsim=" << delta_sim;
+      EXPECT_EQ(out[0].num_micros(), 3);
+      EXPECT_DOUBLE_EQ(out[0].severity(), 60.0);
+      EXPECT_EQ(stats.similarity_checks, 2u);
+    }
+  }
+}
+
+// ---- candidate structure at δsim >= 0.5 (sensor postings) ----
+
+std::set<ClusterId> MicroIdSet(const AtypicalCluster& c) {
+  return {c.micro_ids.begin(), c.micro_ids.end()};
+}
+
+TEST(IntegrationTest, FirstScanStartsPastTheSlot) {
+  // Every pair shares sensor 1 but no window, so Sim <= 0.5 and nothing
+  // merges at δsim = 0.5: each slot's only scan visits the slots after it,
+  // and every pair is evaluated exactly once.
+  ClusterIdGenerator ids(1);
+  std::vector<AtypicalCluster> micros;
+  for (uint32_t k = 0; k < 40; ++k) {
+    micros.push_back(MakeMicro(&ids, {{1, 1.0}, {k + 2, 9.0}}, {{k, 10.0}}));
+  }
   IntegrationParams params;
-  params.delta_sim = 0.45;
-  const auto out = IntegrateClusters(std::move(micros), params, &ids);
+  params.delta_sim = 0.5;
+  IntegrationStats stats;
+  const auto out = IntegrateClusters(micros, params, &ids, &stats);
+  EXPECT_EQ(out.size(), 40u);
+  EXPECT_EQ(stats.similarity_checks, 40u * 39u / 2);
+}
+
+TEST(IntegrationTest, OwnerChainResolvesToTheLiveAbsorber) {
+  // Slot 0 absorbs 1; slot 2 absorbs 3, then 0; slot 4 absorbs 5, then 2.
+  // When slot 4's candidates are marked from slot 2's sensors, slot 1 must
+  // resolve through 1 → 0 → 2 to the live slot, never to the dead slot 0:
+  // a stale candidate would merge slot 0's cluster a second time.
+  ClusterIdGenerator ids(1);
+  std::vector<AtypicalCluster> micros;
+  micros.push_back(MakeMicro(&ids, {{6, 2.0}}, {{10, 1.0}, {30, 1.0}}));
+  micros.push_back(MakeMicro(&ids, {{6, 4.0}}, {{30, 4.0}}));
+  micros.push_back(MakeMicro(&ids, {{4, 4.0}, {6, 4.0}}, {{20, 8.0}}));
+  micros.push_back(
+      MakeMicro(&ids, {{4, 6.0}, {5, 8.0}}, {{20, 10.0}, {30, 4.0}}));
+  micros.push_back(MakeMicro(&ids, {{1, 6.0}, {4, 6.0}}, {{10, 12.0}}));
+  micros.push_back(
+      MakeMicro(&ids, {{1, 10.0}, {3, 8.0}}, {{10, 5.0}, {20, 13.0}}));
+  IntegrationParams params;
+  params.delta_sim = 0.5;
+  ClusterIdGenerator merge_ids(100);
+  IntegrationStats stats;
+  const auto out = IntegrateClusters(micros, params, &merge_ids, &stats);
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].num_micros(), 3);
-  EXPECT_DOUBLE_EQ(out[0].severity(), 60.0);
+  std::set<ClusterId> input_ids;
+  for (const AtypicalCluster& m : micros) input_ids.insert(m.id);
+  EXPECT_EQ(MicroIdSet(out[0]), input_ids);
+  EXPECT_EQ(out[0].num_micros(), 6);
+  EXPECT_EQ(stats.merges, 5u);
+  // Merge ids run 100 (0+1), 101 (2+3), 102 (101+100), 103 (4+5) and
+  // 104 (103+102).
+  EXPECT_EQ(out[0].id, 104u);
+  EXPECT_EQ(out[0].left_child, 103u);
+  EXPECT_EQ(out[0].right_child, 102u);
+}
+
+TEST(IntegrationTest, SensorKeysFarFromZeroGiveTheSamePartition) {
+  // Postings are sized by the inputs' key span, not by the largest key:
+  // shifting every sensor id by 1,000,000 changes nothing in the output.
+  auto shifted = [](std::vector<AtypicalCluster> micros, uint32_t offset) {
+    for (AtypicalCluster& c : micros) {
+      FeatureVector spatial;
+      for (const auto& e : c.spatial.entries()) {
+        spatial.Add(e.key + offset, e.severity);
+      }
+      c.spatial = std::move(spatial);
+    }
+    return micros;
+  };
+  Rng rng(31);
+  ClusterIdGenerator ids(1);
+  const std::vector<AtypicalCluster> micros = RandomMicros(80, 12, rng, &ids);
+  for (const double delta_sim : {0.5, 0.7}) {
+    IntegrationParams params;
+    params.delta_sim = delta_sim;
+    ClusterIdGenerator near_ids(1000);
+    ClusterIdGenerator far_ids(1000);
+    const auto near = IntegrateClusters(micros, params, &near_ids);
+    const auto far =
+        IntegrateClusters(shifted(micros, 1000000), params, &far_ids);
+    ASSERT_EQ(near.size(), far.size());
+    ASSERT_LT(near.size(), micros.size()) << "the population must merge";
+    for (size_t i = 0; i < near.size(); ++i) {
+      EXPECT_EQ(near[i].id, far[i].id);
+      EXPECT_EQ(near[i].micro_ids, far[i].micro_ids);
+      EXPECT_EQ(near[i].spatial.entries().front().key + 1000000,
+                far[i].spatial.entries().front().key);
+    }
+  }
 }
 
 TEST(IntegrationTest, FixpointPropertyNoSimilarPairRemains) {

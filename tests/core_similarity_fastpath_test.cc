@@ -3,7 +3,7 @@
 // output — same partition, same features, same ids — for every balance
 // function, threshold and input permutation.  This file property-tests that
 // contract end to end, and pins the boundary of the stage-0 "no shared
-// sensor, no merge" rule.
+// sensor, no merge" rule that limits the driver's candidates.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -186,7 +186,7 @@ std::vector<AtypicalCluster> SameWindowsNoSharedSensor() {
   return micros;
 }
 
-TEST(StageZeroRuleTest, PairAtExactlyHalfDoesNotMergeAndCountsAsPruned) {
+TEST(StageZeroRuleTest, PairAtExactlyHalfDoesNotMergeAndIsNeverACandidate) {
   const std::vector<AtypicalCluster> micros = SameWindowsNoSharedSensor();
   for (const BalanceFunction g : kAllBalanceFunctions) {
     SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
@@ -202,10 +202,10 @@ TEST(StageZeroRuleTest, PairAtExactlyHalfDoesNotMergeAndCountsAsPruned) {
         RunFastAndExact(micros, params, &fast_stats, &exact_stats);
     EXPECT_EQ(fast.size(), 2u);
     ExpectIdentical(fast, exact);
-    // Each slot rejects the other once: both verdicts come from the rule.
-    EXPECT_EQ(exact_stats.exact_scans, 2u);
-    EXPECT_EQ(fast_stats.exact_scans, 0u);
-    EXPECT_EQ(fast_stats.pruned_scans, 2u);
+    // The slots share no sensor, so neither is ever the other's candidate:
+    // no pair is evaluated, with or without the fast path.
+    EXPECT_EQ(fast_stats.similarity_checks, 0u);
+    EXPECT_EQ(exact_stats.similarity_checks, 0u);
   }
 }
 
