@@ -1,8 +1,8 @@
 // Algorithm 3 (core/integration.h) on a scan-bound population.
 //
 // The greedy fixpoint's candidate similarity scans dominate integration
-// cost.  Rows report the serial driver's median time next to the exact and
-// pruned scan counts, so the similarity fast path's share is visible;
+// cost.  Rows report the median serial IntegrateClusters time next to the
+// pairs evaluated (each an exact Similarity() verdict) and the merges;
 // interpret the times against the `hw_threads` column.
 #include <thread>
 
@@ -83,14 +83,14 @@ int main(int argc, char** argv) {
       "bench_integration — Algorithm 3",
       StrPrintf("greedy fixpoint on scan-bound inputs (hardware threads: %u)",
                 hw),
-      "the fast path prunes >= half the exact similarity scans");
+      "many pairs evaluated, few merges: similarity verdicts dominate");
 
   IntegrationParams base;
   base.delta_sim = 0.7;  // scan-bound: see MakeMicros comment
 
   bench::BenchSummary summary("bench_integration");
-  Table table({"clusters", "hw_threads", "serial (ms)", "exact scans",
-               "pruned"});
+  Table table({"clusters", "hw_threads", "serial (ms)", "pairs evaluated",
+               "merges"});
   for (const int n : row_sizes) {
     ClusterIdGenerator ids(1);
     const auto micros = MakeMicros(n, /*key_space=*/48,
@@ -108,14 +108,11 @@ int main(int argc, char** argv) {
     const double serial_ms = bench::MedianSeconds(serial_s) * 1e3;
     table.AddRow({StrPrintf("%d", n), StrPrintf("%u", hw),
                   StrPrintf("%.1f", serial_ms),
-                  StrPrintf("%llu",
-                            (unsigned long long)serial_stats.exact_scans),
-                  StrPrintf("%llu",
-                            (unsigned long long)serial_stats.pruned_scans)});
-    summary.AddCounter(StrPrintf("exact_scans.n=%d", n),
-                       serial_stats.exact_scans);
-    summary.AddCounter(StrPrintf("pruned_scans.n=%d", n),
-                       serial_stats.pruned_scans);
+                  StrPrintf("%zu", serial_stats.similarity_checks),
+                  StrPrintf("%zu", serial_stats.merges)});
+    summary.AddCounter(StrPrintf("similarity_checks.n=%d", n),
+                       serial_stats.similarity_checks);
+    summary.AddCounter(StrPrintf("merges.n=%d", n), serial_stats.merges);
   }
   summary.AddCounter("hw_threads", hw);
   summary.AddCounter("reps", static_cast<uint64_t>(reps));

@@ -604,7 +604,7 @@ def check_headers_self_contained(compiler: str = "g++",
 
 # --- AL009–AL012 shared machinery: deterministic-module scope ----------------
 #
-# The bit-identical guarantees (streamed integration, similarity pruning,
+# The bit-identical guarantees (streamed integration,
 # degradation equivalence) are carried by src/core, src/cube and src/index;
 # those directories are the "deterministic modules" the next four checks
 # police.  Fixtures opt in so the self-test can exercise them.

@@ -8,51 +8,17 @@
 
 namespace atypical {
 
-FeatureVector::FeatureVector(const FeatureVector& other)
-    : entries_(other.entries_),
-      dirty_(other.dirty_),
-      total_(other.total_),
-      sig_(other.sig_),
-      max_severity_(other.max_severity_) {
-  if (other.sketch_ != nullptr) {
-    sketch_ = std::make_unique<std::array<double, kSignatureBuckets>>(
-        *other.sketch_);
-  }
-}
-
-FeatureVector& FeatureVector::operator=(const FeatureVector& other) {
-  if (this == &other) return *this;
-  entries_ = other.entries_;
-  dirty_ = other.dirty_;
-  total_ = other.total_;
-  sig_ = other.sig_;
-  max_severity_ = other.max_severity_;
-  sketch_.reset();
-  if (other.sketch_ != nullptr) {
-    sketch_ = std::make_unique<std::array<double, kSignatureBuckets>>(
-        *other.sketch_);
-  }
-  return *this;
-}
-
 void FeatureVector::Add(uint32_t key, double severity) {
   CHECK_GE(severity, 0.0);
   if (severity == 0.0) return;
-  sig_.min_key = std::min(sig_.min_key, key);
-  sig_.max_key = std::max(sig_.max_key, key);
-  const uint32_t bucket = Signature::BucketOf(key);
-  sig_.bucket_bits[bucket >> 6] |= uint64_t{1} << (bucket & 63);
-  if (sketch_ != nullptr) (*sketch_)[bucket] += severity;
   // Fast path: appending in key order keeps the vector clean.
   if (!dirty_ && !entries_.empty() && entries_.back().key == key) {
     entries_.back().severity += severity;
-    max_severity_ = std::max(max_severity_, entries_.back().severity);
   } else if (!dirty_ && (entries_.empty() || entries_.back().key < key)) {
     entries_.push_back(Entry{key, severity});
-    max_severity_ = std::max(max_severity_, severity);
   } else {
     entries_.push_back(Entry{key, severity});
-    dirty_ = true;  // max_severity_ goes stale too; Compact() re-derives it
+    dirty_ = true;
   }
   total_ += severity;
 }
@@ -70,36 +36,7 @@ void FeatureVector::Compact() const {
     }
   }
   entries_.resize(out);  // NOEFFECT(allocates): shrink-only (out <= size())
-  max_severity_ = 0.0;
-  for (const Entry& e : entries_) {
-    max_severity_ = std::max(max_severity_, e.severity);
-  }
   dirty_ = false;
-}
-
-size_t FeatureVector::CountKeysInRange(uint32_t lo, uint32_t hi) const {
-  if (lo > hi) return 0;
-  Compact();
-  const auto first = std::lower_bound(
-      entries_.begin(), entries_.end(), lo,
-      [](const Entry& e, uint32_t k) { return e.key < k; });
-  const auto last = std::upper_bound(
-      first, entries_.end(), hi,
-      [](uint32_t k, const Entry& e) { return k < e.key; });
-  return static_cast<size_t>(last - first);
-}
-
-const std::array<double, FeatureVector::kSignatureBuckets>&
-FeatureVector::severity_sketch() const {
-  if (sketch_ == nullptr) {
-    auto sketch = std::make_unique<std::array<double, kSignatureBuckets>>();
-    sketch->fill(0.0);
-    for (const Entry& e : entries()) {
-      (*sketch)[Signature::BucketOf(e.key)] += e.severity;
-    }
-    sketch_ = std::move(sketch);
-  }
-  return *sketch_;
 }
 
 size_t FeatureVector::size() const {
@@ -214,20 +151,6 @@ FeatureVector FeatureVector::Merge(const FeatureVector& a,
     }
   }
   out.total_ = a.total_ + b.total_;
-  out.sig_.min_key = std::min(a.sig_.min_key, b.sig_.min_key);
-  out.sig_.max_key = std::max(a.sig_.max_key, b.sig_.max_key);
-  out.sig_.bucket_bits[0] = a.sig_.bucket_bits[0] | b.sig_.bucket_bits[0];
-  out.sig_.bucket_bits[1] = a.sig_.bucket_bits[1] | b.sig_.bucket_bits[1];
-  for (const Entry& e : out.entries_) {
-    out.max_severity_ = std::max(out.max_severity_, e.severity);
-  }
-  if (a.sketch_ != nullptr && b.sketch_ != nullptr) {
-    // Keep fast-path state warm across merges: per-bucket mass is additive.
-    out.sketch_ = std::make_unique<std::array<double, kSignatureBuckets>>();
-    for (uint32_t bucket = 0; bucket < kSignatureBuckets; ++bucket) {
-      (*out.sketch_)[bucket] = (*a.sketch_)[bucket] + (*b.sketch_)[bucket];
-    }
-  }
   return out;
 }
 

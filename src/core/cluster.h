@@ -12,12 +12,10 @@
 #ifndef ATYPICAL_CORE_CLUSTER_H_
 #define ATYPICAL_CORE_CLUSTER_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cps/types.h"
@@ -37,49 +35,7 @@ class FeatureVector {
     }
   };
 
-  // Buckets in the signature key bitset and the severity-mass sketch used
-  // by the similarity fast path (DESIGN §11).
-  static constexpr uint32_t kSignatureBuckets = 128;
-
-  // Cheap, always-current summary for similarity pruning: the key span and
-  // a bitset of occupied hash buckets.  Both are monotone under Add() and
-  // Merge() (keys are never removed), so the signature needs no
-  // invalidation and is exact at every moment.
-  struct Signature {
-    uint32_t min_key = std::numeric_limits<uint32_t>::max();
-    uint32_t max_key = 0;
-    uint64_t bucket_bits[2] = {0, 0};  // bit b set ⇔ some key hashes to b
-
-    bool empty() const { return min_key > max_key; }
-
-    static uint32_t BucketOf(uint32_t key) {
-      // Multiplicative mix, top 7 bits: sequential sensor/window ids spread
-      // evenly over the 128 buckets.
-      return static_cast<uint32_t>((key * 0x9E3779B97F4A7C15ull) >> 57);
-    }
-
-    bool HasBucket(uint32_t b) const {
-      return ((bucket_bits[b >> 6] >> (b & 63)) & 1) != 0;
-    }
-
-    // True when the two key sets provably share nothing: spans disjoint, or
-    // no common occupied bucket (a shared key sets the same bit in both).
-    bool Disjoint(const Signature& o) const {
-      if (empty() || o.empty()) return true;
-      if (max_key < o.min_key || o.max_key < min_key) return true;
-      return ((bucket_bits[0] & o.bucket_bits[0]) |
-              (bucket_bits[1] & o.bucket_bits[1])) == 0;
-    }
-  };
-
   FeatureVector() = default;
-  // The severity sketch cache is deep-copied so pre-built fast-path state
-  // survives the cluster copies query planning makes.
-  FeatureVector(const FeatureVector& other);
-  FeatureVector& operator=(const FeatureVector& other);
-  FeatureVector(FeatureVector&&) = default;
-  FeatureVector& operator=(FeatureVector&&) = default;
-  ~FeatureVector() = default;
 
   // Accumulates `severity` onto `key`.  Amortized O(1); entries are kept
   // sorted lazily (Compact() runs on first read after writes).
@@ -112,36 +68,6 @@ class FeatureVector {
   // are bit-identical either way.
   std::pair<double, double> CommonSeverity(const FeatureVector& other) const;
 
-  // ---- similarity fast-path summaries (DESIGN §11) ----
-
-  const Signature& signature() const { return sig_; }
-
-  // Largest single-entry severity (0 when empty).  Forces compaction.
-  double max_entry_severity() const {
-    Compact();
-    return max_severity_;
-  }
-
-  // Number of distinct keys in [lo, hi] inclusive.  O(log n).
-  size_t CountKeysInRange(uint32_t lo, uint32_t hi) const;
-
-  // Per-bucket severity mass aligned with signature().bucket_bits:
-  // sketch[b] ≥ Σ severity of keys with Signature::BucketOf(key) == b (equal
-  // up to FP rounding).  Built on first use in O(n), then maintained
-  // incrementally by Add() and additively by Merge() — like the signature it
-  // is monotone, never invalidated.
-  const std::array<double, kSignatureBuckets>& severity_sketch() const;
-
-  // Compacts and builds the severity sketch now, so every const accessor the
-  // similarity fast path touches — entries(), signature(),
-  // max_entry_severity(), severity_sketch() — is physically read-only
-  // afterwards (until the next Add()); required before sharing across
-  // threads.
-  void EnsureSimilarityReady() const {
-    Compact();
-    severity_sketch();
-  }
-
   // Merged feature per Eq. 5/6: common keys accumulate, others carry over.
   static FeatureVector Merge(const FeatureVector& a, const FeatureVector& b);
 
@@ -167,13 +93,6 @@ class FeatureVector {
   mutable std::vector<Entry> entries_;
   mutable bool dirty_ = false;
   double total_ = 0.0;
-  Signature sig_;
-  // Exact whenever !dirty_ (clean Add paths maintain it incrementally;
-  // Compact() re-derives it after out-of-order adds).
-  mutable double max_severity_ = 0.0;
-  // Lazy so the ~1 KiB sketch is only paid by vectors that actually reach
-  // the similarity fast path, not by every stored micro-cluster.
-  mutable std::unique_ptr<std::array<double, kSignatureBuckets>> sketch_;
 };
 
 // How TF keys are derived from absolute windows; see temporal_key.h.

@@ -28,10 +28,10 @@ struct SensorPostings {
     uint32_t max_key = 0;
     min_key = std::numeric_limits<uint32_t>::max();
     for (const AtypicalCluster& c : clusters) {
-      const FeatureVector::Signature& sig = c.spatial.signature();
-      if (sig.empty()) continue;
-      min_key = std::min(min_key, sig.min_key);
-      max_key = std::max(max_key, sig.max_key);
+      const auto& entries = c.spatial.entries();
+      if (entries.empty()) continue;
+      min_key = std::min(min_key, entries.front().key);
+      max_key = std::max(max_key, entries.back().key);
     }
     if (min_key > max_key) return;  // no input has a sensor
     const size_t span = static_cast<size_t>(max_key - min_key) + 1;
@@ -93,7 +93,6 @@ std::vector<AtypicalCluster> IntegrateClusters(
   size_t similarity_checks = 0;
   size_t merges = 0;
   size_t fixpoint_rounds = 0;
-  SimilarityScanStats scan_stats;
 
   // A pair sharing no sensor has SimSF == 0 exactly and SimTF <= 1, so
   // Sim <= 0.5 and it cannot exceed any δsim >= 0.5 (DESIGN §11).  There a
@@ -165,9 +164,8 @@ std::vector<AtypicalCluster> IntegrateClusters(
           const uint32_t j =
               static_cast<uint32_t>(w * 64 + std::countr_zero(bits));
           ++similarity_checks;
-          if (!ExceedsThreshold(clusters[i], clusters[j], params.g,
-                                params.delta_sim, &scan_stats,
-                                params.use_similarity_fast_path)) {
+          if (Similarity(clusters[i], clusters[j], params.g) <=
+              params.delta_sim) {
             continue;
           }
           if (shared_sensor_only) {
@@ -205,8 +203,7 @@ std::vector<AtypicalCluster> IntegrateClusters(
   local.output_clusters = out.size();
   local.similarity_checks = similarity_checks;
   local.merges = merges;
-  local.exact_scans = scan_stats.exact_scans;
-  local.pruned_scans = scan_stats.pruned_scans;
+  local.exact_scans = similarity_checks;
   local.fixpoint_rounds = fixpoint_rounds;
   local.converged = converged;
   local.seconds = timer.ElapsedSeconds();
@@ -224,10 +221,6 @@ std::vector<AtypicalCluster> IntegrateClusters(
       obs::Registry()->GetCounter("integration.merges");
   static obs::Counter* const obs_rounds =
       obs::Registry()->GetCounter("integration.fixpoint_rounds");
-  static obs::Counter* const obs_exact_scans =
-      obs::Registry()->GetCounter("similarity.exact_scans");
-  static obs::Counter* const obs_pruned =
-      obs::Registry()->GetCounter("similarity.pruned");
   static obs::Histogram* const obs_seconds =
       obs::Registry()->GetHistogram("integration.seconds");
   static obs::Counter* const obs_partial =
@@ -239,8 +232,6 @@ std::vector<AtypicalCluster> IntegrateClusters(
   obs_checks->Add(local.similarity_checks);
   obs_merges->Add(local.merges);
   obs_rounds->Add(local.fixpoint_rounds);
-  obs_exact_scans->Add(local.exact_scans);
-  obs_pruned->Add(local.pruned_scans);
   obs_seconds->Record(local.seconds);
 
   if (stats != nullptr) *stats = local;

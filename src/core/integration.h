@@ -24,11 +24,6 @@ namespace atypical {
 struct IntegrationParams {
   double delta_sim = 0.5;  // paper default
   BalanceFunction g = BalanceFunction::kArithmeticMean;  // paper default
-  // Answer Sim > δsim via conservative upper bounds where possible
-  // (ExceedsThreshold, DESIGN §11).  Never changes results or the pairs
-  // evaluated — the off setting exists for benchmarking and the
-  // bit-identity property tests.
-  bool use_similarity_fast_path = true;
   // Degradation guards on the fixpoint loop (0 = unlimited).  When either
   // budget trips, integration stops merging and returns the partition
   // reached so far — a clean partial result, not an error.  The outcome is
@@ -43,8 +38,9 @@ struct IntegrationStats {
   size_t output_clusters = 0;
   size_t similarity_checks = 0;  // candidate pairs evaluated
   size_t merges = 0;
-  // Scan accounting (SimilarityScanStats): exact_scans + pruned_scans is
-  // the number of CommonSeverity evaluations the pure exact path runs.
+  // Retired: every candidate pair gets the exact Similarity() verdict, so
+  // exact_scans == similarity_checks and pruned_scans == 0.  Kept only
+  // because the frozen perfbench/pipeline_bench.cc reads them.
   uint64_t exact_scans = 0;
   uint64_t pruned_scans = 0;
   uint64_t fixpoint_rounds = 0;

@@ -259,10 +259,6 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
       obs::Registry()->GetCounter("query.stale_materialized_skipped");
   static obs::Counter* const obs_clusters_out =
       obs::Registry()->GetCounter("query.clusters_out");
-  static obs::Counter* const obs_exact_scans =
-      obs::Registry()->GetCounter("query.similarity_exact_scans");
-  static obs::Counter* const obs_pruned =
-      obs::Registry()->GetCounter("query.similarity_pruned");
   static obs::Histogram* const obs_seconds =
       obs::Registry()->GetHistogram("query.seconds");
   static obs::Counter* const obs_degraded =
@@ -276,8 +272,6 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
       static_cast<uint64_t>(std::max(0, result.cost.days_from_materialized)));
   obs_stale_skipped->Add(result.cost.stale_materialized_skipped);
   obs_clusters_out->Add(result.clusters.size());
-  obs_exact_scans->Add(result.cost.integration.exact_scans);
-  obs_pruned->Add(result.cost.integration.pruned_scans);
   obs_seconds->Record(result.cost.seconds);
   return result;
 }

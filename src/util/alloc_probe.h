@@ -4,7 +4,7 @@
 // scripts/check_effects.py proves *statically* that ATYPICAL_HOT functions
 // stay off locks and I/O and that their allocations are budgeted; AllocProbe
 // measures the same paths at runtime so the two verdicts cross-validate.
-// Tests warm a path up (first calls may lazily build sketches, grow caches,
+// Tests warm a path up (first calls may compact features, grow caches,
 // reach steady-state capacity), then probe a repeat call and pin the count
 // to a named budget:
 //

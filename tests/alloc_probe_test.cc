@@ -93,12 +93,12 @@ TEST(AllocProbeTest, OtherThreadsAllocationsAreInvisible) {
 
 // The named budget behind the ratchet's (QueryEngine::Run, allocates)
 // entry: heap allocations of one Run() on the kTiny 3-day workload at
-// steady state (warm QueryScratch, lazily-built sketches already paid,
+// steady state (warm QueryScratch, lazy compaction already paid,
 // obs counters registered).  Everything left is O(result) answer assembly
-// (measured 235-248 per run for All/Pru/Gui); the ~1.3x headroom absorbs
+// (measured 176-182 per run for All/Pru/Gui); the ~1.3x headroom absorbs
 // library variation without letting a per-query index or a per-input-cluster
 // regression slip through.
-constexpr uint64_t kQueryRunSteadyStateAllocBudget = 320;
+constexpr uint64_t kQueryRunSteadyStateAllocBudget = 240;
 
 class ServingBudgetTest : public ::testing::Test {
  protected:
@@ -170,7 +170,7 @@ TEST_F(ServingBudgetTest, ScratchReuseBeatsPerCallScratch) {
   EXPECT_LT(reused_count, fresh_count);
 }
 
-TEST(SimilarityAllocTest, SimilarityReadyVerdictIsAllocationFree) {
+TEST(SimilarityAllocTest, CompactedSimilarityIsAllocationFree) {
   AtypicalCluster a;
   AtypicalCluster b;
   for (uint32_t k = 0; k < 40; ++k) {
@@ -181,26 +181,23 @@ TEST(SimilarityAllocTest, SimilarityReadyVerdictIsAllocationFree) {
     b.spatial.Add(k, 0.5 + k);
     b.temporal.Add(k % 6, 1.0);
   }
-  // Prepay the lazy compaction + sketch builds, as stored forest clusters
-  // have them prepaid by the drivers' preparation pass.
-  a.spatial.EnsureSimilarityReady();
-  a.temporal.EnsureSimilarityReady();
-  b.spatial.EnsureSimilarityReady();
-  b.temporal.EnsureSimilarityReady();
+  // Prepay the lazy compaction, as stored forest clusters have it prepaid.
+  a.spatial.EnsureCompact();
+  a.temporal.EnsureCompact();
+  b.spatial.EnsureCompact();
+  b.temporal.EnsureCompact();
 
-  SimilarityScanStats stats;
   util::AllocProbe probe;
-  const bool fast = ExceedsThreshold(a, b, BalanceFunction::kMin, 0.99,
-                                     &stats, /*use_fast_path=*/true);
-  const double upper = SimilarityUpperBound(a, b, BalanceFunction::kMin);
-  const double exact = Similarity(a, b, BalanceFunction::kMin);
-  const bool slow = ExceedsThreshold(a, b, BalanceFunction::kMin, 0.01,
-                                     &stats, /*use_fast_path=*/false);
+  double sum = 0.0;
+  for (const BalanceFunction g :
+       {BalanceFunction::kMax, BalanceFunction::kMin,
+        BalanceFunction::kArithmeticMean, BalanceFunction::kGeometricMean,
+        BalanceFunction::kHarmonicMean}) {
+    sum += Similarity(a, b, g);
+  }
   const uint64_t count = probe.Count();
   EXPECT_EQ(count, 0u);
-  EXPECT_FALSE(fast);
-  EXPECT_TRUE(slow);
-  EXPECT_GE(upper, exact);
+  EXPECT_GT(sum, 0.0);  // the clusters overlap, so the scans did real work
 }
 
 }  // namespace

@@ -223,16 +223,13 @@ void ExpectMatchesReference(const FeatureVector& f,
   ASSERT_EQ(entries.size(), reference.size());
   size_t i = 0;
   double total = 0.0;
-  double max_severity = 0.0;
   for (const auto& [key, severity] : reference) {
     EXPECT_EQ(entries[i].key, key);
     EXPECT_DOUBLE_EQ(entries[i].severity, severity);
     total += severity;
-    max_severity = std::max(max_severity, severity);
     ++i;
   }
   EXPECT_DOUBLE_EQ(f.total(), total);
-  EXPECT_DOUBLE_EQ(f.max_entry_severity(), max_severity);
 }
 
 TEST(FeatureVectorAdversarialTest, DescendingKeys) {
@@ -267,7 +264,6 @@ TEST(FeatureVectorAdversarialTest, AddAfterReadRedirties) {
     reference[k] += 1.0;
   }
   (void)f.entries();  // forces compaction
-  EXPECT_DOUBLE_EQ(f.max_entry_severity(), 1.0);
   for (uint32_t k : {5u, 2u, 11u, 5u}) {  // out of order again
     f.Add(k, 0.5);
     reference[k] += 0.5;
@@ -351,89 +347,6 @@ TEST(FeatureVectorTest, GallopingHandlesAllLargeKeysBelowSmall) {
   const auto [mine, theirs] = small.CommonSeverity(large);
   EXPECT_DOUBLE_EQ(mine, 0.0);
   EXPECT_DOUBLE_EQ(theirs, 0.0);
-}
-
-// ---- similarity fast-path summaries ----
-
-TEST(FeatureVectorTest, SignatureTracksSpanAndBuckets) {
-  FeatureVector f;
-  EXPECT_TRUE(f.signature().empty());
-  f.Add(40, 1.0);
-  f.Add(7, 2.0);
-  const FeatureVector::Signature& sig = f.signature();
-  EXPECT_EQ(sig.min_key, 7u);
-  EXPECT_EQ(sig.max_key, 40u);
-  EXPECT_TRUE(sig.HasBucket(FeatureVector::Signature::BucketOf(7)));
-  EXPECT_TRUE(sig.HasBucket(FeatureVector::Signature::BucketOf(40)));
-}
-
-TEST(FeatureVectorTest, SignatureDisjointOnSeparatedSpans) {
-  FeatureVector a;
-  a.Add(1, 1.0);
-  a.Add(5, 1.0);
-  FeatureVector b;
-  b.Add(100, 1.0);
-  EXPECT_TRUE(a.signature().Disjoint(b.signature()));
-  EXPECT_TRUE(b.signature().Disjoint(a.signature()));
-  b.Add(5, 1.0);  // now they share key 5
-  EXPECT_FALSE(a.signature().Disjoint(b.signature()));
-  EXPECT_TRUE(FeatureVector().signature().Disjoint(a.signature()));
-}
-
-TEST(FeatureVectorTest, CountKeysInRange) {
-  FeatureVector f;
-  for (uint32_t k : {2u, 4u, 8u, 16u, 32u}) f.Add(k, 1.0);
-  EXPECT_EQ(f.CountKeysInRange(0, 100), 5u);
-  EXPECT_EQ(f.CountKeysInRange(4, 16), 3u);
-  EXPECT_EQ(f.CountKeysInRange(5, 7), 0u);
-  EXPECT_EQ(f.CountKeysInRange(8, 8), 1u);
-  EXPECT_EQ(f.CountKeysInRange(33, 2), 0u);  // inverted range
-}
-
-void ExpectSketchMatchesRebuild(const FeatureVector& f) {
-  const auto& sketch = f.severity_sketch();
-  std::array<double, FeatureVector::kSignatureBuckets> expect{};
-  for (const FeatureVector::Entry& e : f.entries()) {
-    expect[FeatureVector::Signature::BucketOf(e.key)] += e.severity;
-  }
-  for (uint32_t b = 0; b < FeatureVector::kSignatureBuckets; ++b) {
-    EXPECT_DOUBLE_EQ(sketch[b], expect[b]) << "bucket " << b;
-  }
-}
-
-TEST(FeatureVectorTest, SeveritySketchMaintainedByAddAndMerge) {
-  FeatureVector a;
-  for (uint32_t k : {1u, 9u, 40u}) a.Add(k, 0.5 * (k + 1));
-  ExpectSketchMatchesRebuild(a);  // lazily built here
-  a.Add(9, 0.25);                 // incremental update on a built sketch
-  a.Add(77, 1.5);
-  ExpectSketchMatchesRebuild(a);
-
-  FeatureVector b;
-  b.Add(9, 2.0);
-  b.Add(500, 0.75);
-  (void)b.severity_sketch();  // builds b's sketch so Merge carries one
-  const FeatureVector merged = FeatureVector::Merge(a, b);
-  // Both parents had sketches, so the merge carries one forward.
-  ExpectSketchMatchesRebuild(merged);
-  const FeatureVector::Signature& sig = merged.signature();
-  EXPECT_EQ(sig.min_key, 1u);
-  EXPECT_EQ(sig.max_key, 500u);
-}
-
-TEST(FeatureVectorTest, CopyPreservesFastPathState) {
-  FeatureVector f;
-  for (uint32_t k : {3u, 11u, 60u}) f.Add(k, 1.25);
-  (void)f.severity_sketch();  // builds the sketch the copy must preserve
-  FeatureVector copy = f;
-  ExpectSketchMatchesRebuild(copy);
-  copy.Add(90, 2.0);  // must not touch the original
-  EXPECT_EQ(f.size(), 3u);
-  EXPECT_EQ(copy.size(), 4u);
-  ExpectSketchMatchesRebuild(f);
-  ExpectSketchMatchesRebuild(copy);
-  EXPECT_EQ(f.signature().max_key, 60u);
-  EXPECT_EQ(copy.signature().max_key, 90u);
 }
 
 TEST(AtypicalClusterTest, ByteSizeHeaderCountsChildLinks) {

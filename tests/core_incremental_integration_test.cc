@@ -82,8 +82,6 @@ void ExpectSameStats(const IntegrationStats& batch,
   EXPECT_EQ(batch.merges, streamed.merges);
   EXPECT_EQ(batch.similarity_checks, streamed.similarity_checks);
   EXPECT_EQ(batch.fixpoint_rounds, streamed.fixpoint_rounds);
-  EXPECT_EQ(batch.exact_scans, streamed.exact_scans);
-  EXPECT_EQ(batch.pruned_scans, streamed.pruned_scans);
   EXPECT_EQ(batch.converged, streamed.converged);
 }
 
@@ -104,7 +102,6 @@ struct EquivalenceCase {
   BalanceFunction g;
   double delta_sim;
   uint64_t seed;
-  bool use_fast_path;
 };
 
 class IncrementalEquivalenceTest
@@ -117,7 +114,6 @@ TEST_P(IncrementalEquivalenceTest, FinalizeBitIdenticalToBatch) {
   IntegrationParams params;
   params.g = c.g;
   params.delta_sim = c.delta_sim;
-  params.use_similarity_fast_path = c.use_fast_path;
 
   // Batch: number the micros, then integrate with the same generator — the
   // id sequence a real pipeline (RetrieveMicroClusters + IntegrateClusters)
@@ -147,8 +143,8 @@ std::vector<EquivalenceCase> MakeCases() {
        {BalanceFunction::kMax, BalanceFunction::kArithmeticMean,
         BalanceFunction::kHarmonicMean}) {
     for (const double delta_sim : {0.25, 0.5}) {
-      for (const bool use_fast_path : {true, false}) {
-        cases.push_back(EquivalenceCase{g, delta_sim, seed++, use_fast_path});
+      for (int rep = 0; rep < 2; ++rep) {  // two seeds per setting
+        cases.push_back(EquivalenceCase{g, delta_sim, seed++});
       }
     }
   }

@@ -1,13 +1,13 @@
 // A literal Algorithm 3 as the oracle for the production driver.
 //
 // ReferenceIntegrate is the paper's loop and nothing else: it evaluates
-// Similarity() (Eq. 2) for every alive pair, with no stage-0 rule, no upper
-// bounds and no candidate structure.  Hard clustering makes the partition
+// Similarity() (Eq. 2) for every alive pair, with no stage-0 rule and no
+// candidate structure.  Hard clustering makes the partition
 // order-dependent, so the oracle fixes the same greedy order the driver
 // documents (slot i absorbs the lowest-numbered alive slot that qualifies,
 // then rescans).  A seeded differential sweep then demands that
-// IntegrateClusters — fast path on and off — matches it in partition,
-// features, ids, children and day span.
+// IntegrateClusters matches it in partition, features, ids, children and
+// day span.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -136,8 +136,8 @@ void ExpectSameAsReference(const std::vector<AtypicalCluster>& got,
   }
 }
 
-// Runs the driver, fast path off and on, against the oracle on `micros`
-// and returns the oracle's partition size.
+// Runs IntegrateClusters against the oracle on `micros` and returns the
+// oracle's partition size.
 size_t ExpectDriverMatchesReference(const std::vector<AtypicalCluster>& micros,
                                     BalanceFunction g, double delta_sim) {
   ClusterIdGenerator ref_ids(1000);
@@ -148,28 +148,11 @@ size_t ExpectDriverMatchesReference(const std::vector<AtypicalCluster>& micros,
       EXPECT_LE(Similarity(want[i], want[j], g), delta_sim);
     }
   }
-  IntegrationStats exact_stats;
-  for (const bool fast_path : {false, true}) {
-    IntegrationParams params;
-    params.g = g;
-    params.delta_sim = delta_sim;
-    params.use_similarity_fast_path = fast_path;
-    ClusterIdGenerator ids(1000);
-    IntegrationStats stats;
-    const auto got = IntegrateClusters(micros, params, &ids, &stats);
-    SCOPED_TRACE(fast_path ? "fast path on" : "fast path off");
-    ExpectSameAsReference(got, want);
-    if (!fast_path) {
-      EXPECT_EQ(stats.pruned_scans, 0u);
-      exact_stats = stats;
-      continue;
-    }
-    // Every verdict the exact path scans, the fast path either scans or
-    // prunes.
-    EXPECT_EQ(stats.similarity_checks, exact_stats.similarity_checks);
-    EXPECT_EQ(stats.exact_scans + stats.pruned_scans,
-              exact_stats.exact_scans);
-  }
+  IntegrationParams params;
+  params.g = g;
+  params.delta_sim = delta_sim;
+  ClusterIdGenerator ids(1000);
+  ExpectSameAsReference(IntegrateClusters(micros, params, &ids), want);
   return want.size();
 }
 

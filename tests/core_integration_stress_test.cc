@@ -123,9 +123,7 @@ TEST(IntegrationStressScaleTest, LargeInputCompletes) {
   // 1,500 clusters over a sparse sensor space (4,000 keys) at the paper's
   // δsim = 0.5 return a valid partition.  Only pairs sharing a sensor are
   // candidates, so the evaluated pairs stay a small multiple of n — a scan
-  // of every alive slot would evaluate about n² of them — and most of those
-  // fall to the upper bounds: fewer exact scans than inputs means the
-  // verdicts are pruned, not scanned.
+  // of every alive slot would evaluate about n² of them.
   ClusterIdGenerator ids(1);
   const auto micros = RandomMicros(1500, 4000, 99, &ids);
   IntegrationStats stats;
@@ -134,8 +132,6 @@ TEST(IntegrationStressScaleTest, LargeInputCompletes) {
   EXPECT_EQ(stats.input_clusters, 1500u);
   EXPECT_EQ(stats.output_clusters, macros.size());
   EXPECT_LT(stats.similarity_checks, 10u * 1500u);
-  EXPECT_LT(stats.exact_scans, 1500u);
-  EXPECT_GT(stats.pruned_scans, 0u);
 }
 
 }  // namespace

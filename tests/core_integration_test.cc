@@ -1,8 +1,10 @@
-// Algorithm 3: cluster integration — fixpoint semantics, scan accounting,
-// degradation budgets and micro-id bookkeeping.
+// Algorithm 3: cluster integration — fixpoint semantics, the stage-0
+// candidate rule, degradation budgets and micro-id bookkeeping.
 #include "core/integration.h"
 
+#include <cmath>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -103,17 +105,14 @@ TEST(IntegrationTest, TransitiveAbsorption) {
   micros.push_back(MakeMicro(&ids, {{2, 10.0}, {3, 10.0}}, {{5, 20.0}}));
   micros.push_back(MakeMicro(&ids, {{3, 10.0}, {4, 10.0}}, {{5, 20.0}}));
   for (const double delta_sim : {0.45, 0.5}) {
-    for (const bool fast_path : {false, true}) {
-      IntegrationParams params;
-      params.delta_sim = delta_sim;
-      params.use_similarity_fast_path = fast_path;
-      IntegrationStats stats;
-      const auto out = IntegrateClusters(micros, params, &ids, &stats);
-      ASSERT_EQ(out.size(), 1u) << "δsim=" << delta_sim;
-      EXPECT_EQ(out[0].num_micros(), 3);
-      EXPECT_DOUBLE_EQ(out[0].severity(), 60.0);
-      EXPECT_EQ(stats.similarity_checks, 2u);
-    }
+    IntegrationParams params;
+    params.delta_sim = delta_sim;
+    IntegrationStats stats;
+    const auto out = IntegrateClusters(micros, params, &ids, &stats);
+    ASSERT_EQ(out.size(), 1u) << "δsim=" << delta_sim;
+    EXPECT_EQ(out[0].num_micros(), 3);
+    EXPECT_DOUBLE_EQ(out[0].severity(), 60.0);
+    EXPECT_EQ(stats.similarity_checks, 2u);
   }
 }
 
@@ -208,6 +207,101 @@ TEST(IntegrationTest, SensorKeysFarFromZeroGiveTheSamePartition) {
   }
 }
 
+// ---- stage-0 rule boundary ----
+
+constexpr BalanceFunction kAllBalanceFunctions[] = {
+    BalanceFunction::kMax, BalanceFunction::kMin,
+    BalanceFunction::kArithmeticMean, BalanceFunction::kGeometricMean,
+    BalanceFunction::kHarmonicMean};
+
+// Two micros with identical temporal features (SimTF == 1.0 exactly) and no
+// shared sensor (SimSF == 0.0): Sim is exactly 0.5 under every g.
+std::vector<AtypicalCluster> SameWindowsNoSharedSensor() {
+  ClusterIdGenerator ids(1);
+  std::vector<AtypicalCluster> micros(2);
+  for (uint32_t i = 0; i < 2; ++i) {
+    AtypicalCluster& c = micros[i];
+    c.id = ids.Next();
+    c.micro_ids = {c.id};
+    c.spatial.Add(10 + i, 6.0);
+    c.spatial.Add(20 + i, 4.0);
+    c.temporal.Add(3, 7.0);
+    c.temporal.Add(4, 3.0);
+  }
+  return micros;
+}
+
+TEST(StageZeroRuleTest, PairAtExactlyHalfDoesNotMergeAndIsNeverACandidate) {
+  const std::vector<AtypicalCluster> micros = SameWindowsNoSharedSensor();
+  for (const BalanceFunction g : kAllBalanceFunctions) {
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
+    ASSERT_EQ(TemporalSimilarity(micros[0], micros[1], g), 1.0);
+    ASSERT_EQ(SpatialSimilarity(micros[0], micros[1], g), 0.0);
+    ASSERT_EQ(Similarity(micros[0], micros[1], g), 0.5);
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = 0.5;  // 0.5 is not > 0.5
+    IntegrationStats stats;
+    ClusterIdGenerator ids(100000);
+    const auto out = IntegrateClusters(micros, params, &ids, &stats);
+    EXPECT_EQ(out.size(), 2u);
+    // The slots share no sensor, so neither is ever the other's candidate:
+    // no pair is evaluated.
+    EXPECT_EQ(stats.similarity_checks, 0u);
+  }
+}
+
+TEST(StageZeroRuleTest, BelowHalfTheRuleIsOffAndTimeAloneMerges) {
+  const std::vector<AtypicalCluster> micros = SameWindowsNoSharedSensor();
+  for (const BalanceFunction g : kAllBalanceFunctions) {
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = 0.4;
+    IntegrationStats stats;
+    ClusterIdGenerator ids(100000);
+    const auto out = IntegrateClusters(micros, params, &ids, &stats);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(stats.merges, 1u);
+    EXPECT_EQ(stats.similarity_checks, 1u);
+  }
+}
+
+TEST(StageZeroRuleTest, HarmonicMeanOfFractionsBelowOneStaysAtMostOne) {
+  // The rule's proof needs Balance(g, p1, p2) <= 1.0 for clamped fractions.
+  // For the harmonic mean 2·p1·p2 <= p1 + p2 holds exactly, and rounding is
+  // monotone, so the quotient cannot round above 1 — pinned here for the
+  // fractions nearest 1.
+  double p1 = 1.0;
+  for (int i = 0; i < 64; ++i) {
+    double p2 = 1.0;
+    for (int j = 0; j < 64; ++j) {
+      for (const BalanceFunction g : kAllBalanceFunctions) {
+        ASSERT_LE(Balance(g, p1, p2), 1.0)
+            << BalanceFunctionName(g) << " p1=" << p1 << " p2=" << p2;
+      }
+      p2 = std::nextafter(p2, 0.0);
+    }
+    p1 = std::nextafter(p1, 0.0);
+  }
+  // End to end: one tiny non-shared window puts each TF fraction just below
+  // 1.0, and the pair still does not merge at δsim = 0.5.  (The matching
+  // sensor mass keeps Σμ == Σν.)
+  std::vector<AtypicalCluster> micros = SameWindowsNoSharedSensor();
+  for (uint32_t i = 0; i < 2; ++i) {
+    micros[i].temporal.Add(8 + i, 0x1p-46);
+    micros[i].spatial.Add(30 + i, 0x1p-46);
+  }
+  const double tf = TemporalSimilarity(micros[0], micros[1],
+                                       BalanceFunction::kHarmonicMean);
+  EXPECT_LT(tf, 1.0);
+  EXPECT_GT(tf, 0.999);
+  IntegrationParams params;
+  params.g = BalanceFunction::kHarmonicMean;
+  ClusterIdGenerator ids(100000);
+  EXPECT_EQ(IntegrateClusters(micros, params, &ids).size(), 2u);
+}
+
 TEST(IntegrationTest, FixpointPropertyNoSimilarPairRemains) {
   // After integration, no output pair may exceed δsim (Algorithm 3 line 7).
   Rng rng(5);
@@ -265,30 +359,9 @@ TEST(IntegrationTest, StatsAreConsistent) {
   EXPECT_EQ(stats.output_clusters, out.size());
   EXPECT_EQ(stats.input_clusters - stats.merges, stats.output_clusters);
   EXPECT_GE(stats.seconds, 0.0);
-}
-
-TEST(IntegrationTest, ScanAccountingSumsToExactPathScans) {
-  // The fast path's two counters partition the evaluations the pure exact
-  // path scans, so fast.exact + fast.pruned == exact.exact (and the exact
-  // path never prunes).
-  Rng rng(19);
-  ClusterIdGenerator ids(1);
-  const std::vector<AtypicalCluster> micros = RandomMicros(60, 10, rng, &ids);
-  IntegrationParams fast;
-  fast.use_similarity_fast_path = true;
-  IntegrationParams exact;
-  exact.use_similarity_fast_path = false;
-  IntegrationStats fast_stats;
-  IntegrationStats exact_stats;
-  ClusterIdGenerator ids_a(1000);
-  ClusterIdGenerator ids_b(1000);
-  IntegrateClusters(micros, fast, &ids_a, &fast_stats);
-  IntegrateClusters(micros, exact, &ids_b, &exact_stats);
-  EXPECT_EQ(exact_stats.pruned_scans, 0u);
-  EXPECT_EQ(fast_stats.exact_scans + fast_stats.pruned_scans,
-            exact_stats.exact_scans);
-  EXPECT_EQ(fast_stats.output_clusters, exact_stats.output_clusters);
-  EXPECT_EQ(fast_stats.merges, exact_stats.merges);
+  // Retired scan fields: one exact scan per evaluated pair, no pruning.
+  EXPECT_EQ(stats.exact_scans, stats.similarity_checks);
+  EXPECT_EQ(stats.pruned_scans, 0u);
 }
 
 TEST(IntegrationTest, ThresholdIsStrict) {

@@ -199,115 +199,6 @@ TEST(SimilarityTest, LargeTotalAccumulationStress) {
   EXPECT_DOUBLE_EQ(Similarity(a, b, BalanceFunction::kMax), 1.0);
 }
 
-// ---- similarity fast path (DESIGN §11) ----
-
-constexpr BalanceFunction kAllBalanceFunctions[] = {
-    BalanceFunction::kMax, BalanceFunction::kMin,
-    BalanceFunction::kArithmeticMean, BalanceFunction::kGeometricMean,
-    BalanceFunction::kHarmonicMean};
-
-AtypicalCluster RandomCluster(Rng* rng, uint64_t key_space, int num_adds) {
-  AtypicalCluster c;
-  for (int i = 0; i < num_adds; ++i) {
-    c.spatial.Add(static_cast<uint32_t>(rng->UniformInt(key_space)),
-                  rng->Uniform(0.5, 8.0));
-    c.temporal.Add(static_cast<uint32_t>(rng->UniformInt(key_space)),
-                   rng->Uniform(0.5, 8.0));
-  }
-  return c;
-}
-
-TEST(SimilarityFastPathTest, UpperBoundDominatesSimilarity) {
-  // The whole fast path rests on UB ≥ Sim; hammer it over clusters of mixed
-  // density, span and size for every balance function.
-  Rng rng(17);
-  for (int trial = 0; trial < 400; ++trial) {
-    const uint64_t key_space = 4 + rng.UniformInt(uint64_t{120});
-    const AtypicalCluster a = RandomCluster(
-        &rng, key_space, 1 + static_cast<int>(rng.UniformInt(uint64_t{40})));
-    const AtypicalCluster b = RandomCluster(
-        &rng, key_space, 1 + static_cast<int>(rng.UniformInt(uint64_t{40})));
-    for (const BalanceFunction g : kAllBalanceFunctions) {
-      EXPECT_GE(SimilarityUpperBound(a, b, g), Similarity(a, b, g))
-          << "trial " << trial << " g=" << BalanceFunctionName(g);
-    }
-  }
-}
-
-TEST(SimilarityFastPathTest, ExceedsThresholdMatchesExactVerdict) {
-  // Fast-path on/off must return the same verdict for every pair, function
-  // and threshold — including thresholds right at the similarity value
-  // (strictness: Sim == δsim must not exceed).
-  Rng rng(31);
-  SimilarityScanStats fast_stats;
-  SimilarityScanStats exact_stats;
-  for (int trial = 0; trial < 200; ++trial) {
-    const AtypicalCluster a = RandomCluster(&rng, 64, 12);
-    const AtypicalCluster b = RandomCluster(&rng, 64, 12);
-    for (const BalanceFunction g : kAllBalanceFunctions) {
-      const double sim = Similarity(a, b, g);
-      for (const double delta : {0.05, 0.3, 0.5, 0.9, sim}) {
-        if (delta <= 0.0) continue;
-        const bool fast =
-            ExceedsThreshold(a, b, g, delta, &fast_stats, true);
-        const bool exact =
-            ExceedsThreshold(a, b, g, delta, &exact_stats, false);
-        EXPECT_EQ(fast, exact)
-            << "g=" << BalanceFunctionName(g) << " delta=" << delta;
-        EXPECT_EQ(exact, sim > delta);
-      }
-    }
-  }
-  // Accounting: each evaluation lands in exactly one bucket, so the fast
-  // path's two counters sum to the exact path's scan count.
-  EXPECT_EQ(fast_stats.exact_scans + fast_stats.pruned_scans,
-            exact_stats.exact_scans);
-  EXPECT_EQ(exact_stats.pruned_scans, 0u);
-}
-
-TEST(SimilarityFastPathTest, DisjointSignaturesPruneWithoutScans) {
-  // Far-apart key spans are provably dissimilar from the signature alone.
-  AtypicalCluster a;
-  AtypicalCluster b;
-  for (uint32_t k = 0; k < 20; ++k) {
-    a.spatial.Add(k, 1.0);
-    a.temporal.Add(k, 1.0);
-    b.spatial.Add(k + 1000, 1.0);
-    b.temporal.Add(k + 1000, 1.0);
-  }
-  SimilarityScanStats stats;
-  for (const BalanceFunction g : kAllBalanceFunctions) {
-    EXPECT_DOUBLE_EQ(SimilarityUpperBound(a, b, g), 0.0);
-    EXPECT_FALSE(ExceedsThreshold(a, b, g, 0.1, &stats, true));
-  }
-  EXPECT_EQ(stats.pruned_scans, 5u);
-  EXPECT_EQ(stats.exact_scans, 0u);
-}
-
-TEST(SimilarityFastPathTest, EmptyClustersAreNotCounted) {
-  // The exact path never scans a pair with an empty side, so neither
-  // counter may move for one.
-  const AtypicalCluster empty;
-  const AtypicalCluster c = MakeCluster({{1, 10}}, {{2, 10}});
-  SimilarityScanStats stats;
-  EXPECT_FALSE(ExceedsThreshold(empty, c, BalanceFunction::kMax, 0.1, &stats,
-                                true));
-  EXPECT_FALSE(ExceedsThreshold(empty, c, BalanceFunction::kMax, 0.1, &stats,
-                                false));
-  EXPECT_EQ(stats.exact_scans, 0u);
-  EXPECT_EQ(stats.pruned_scans, 0u);
-}
-
-TEST(SimilarityFastPathDeathTest, MixedKeyModesDie) {
-  AtypicalCluster a = MakeCluster({{1, 10}}, {{2, 10}});
-  AtypicalCluster b = MakeCluster({{1, 10}}, {{2, 10}});
-  b.key_mode = TemporalKeyMode::kTimeOfDay;
-  EXPECT_DEATH((void)ExceedsThreshold(a, b, BalanceFunction::kMax, 0.5),
-               "key modes");
-  EXPECT_DEATH((void)SimilarityUpperBound(a, b, BalanceFunction::kMax),
-               "key modes");
-}
-
 TEST(SimilarityTest, PaperExampleMorningVsEvening) {
   // Fig. 7: CA and CB share sensors but never congest at the same time of
   // day; their temporal similarity is 0, halving the overall score.
