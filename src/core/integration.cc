@@ -16,37 +16,41 @@
 namespace atypical {
 namespace {
 
-// Input slots by spatial key (sensor), as a CSR over the inputs' key span:
-// the slots holding key k are slots[offsets[k - min_key],
+// Input slots by the keys of one feature, as a CSR over the inputs' key
+// span: the slots holding key k are slots[offsets[k - min_key],
 // offsets[k - min_key + 1]).  Filled by one counting sort.
-struct SensorPostings {
+struct Postings {
+  FeatureVector AtypicalCluster::*feature;
   uint32_t min_key = 0;
   std::vector<uint32_t> offsets;
   std::vector<uint32_t> slots;
 
-  explicit SensorPostings(const std::vector<AtypicalCluster>& clusters) {
+  Postings(const std::vector<AtypicalCluster>& clusters,
+           FeatureVector AtypicalCluster::*feature_in)
+      : feature(feature_in) {
     uint32_t max_key = 0;
     min_key = std::numeric_limits<uint32_t>::max();
     for (const AtypicalCluster& c : clusters) {
-      const auto& entries = c.spatial.entries();
+      const auto& entries = (c.*feature).entries();
       if (entries.empty()) continue;
       min_key = std::min(min_key, entries.front().key);
       max_key = std::max(max_key, entries.back().key);
     }
-    if (min_key > max_key) return;  // no input has a sensor
+    if (min_key > max_key) return;  // no input has a key
     const size_t span = static_cast<size_t>(max_key - min_key) + 1;
     // Count into offsets[k], prefix-sum to each key's end, then fill
     // backwards so every offsets[k] walks down to its key's start.
     offsets.assign(span + 1, 0);
     for (const AtypicalCluster& c : clusters) {
-      for (const FeatureVector::Entry& e : c.spatial.entries()) {
+      for (const FeatureVector::Entry& e : (c.*feature).entries()) {
         ++offsets[e.key - min_key];
       }
     }
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
     slots.resize(offsets[span]);
     for (size_t slot = clusters.size(); slot-- > 0;) {
-      for (const FeatureVector::Entry& e : clusters[slot].spatial.entries()) {
+      for (const FeatureVector::Entry& e :
+           (clusters[slot].*feature).entries()) {
         slots[--offsets[e.key - min_key]] = static_cast<uint32_t>(slot);
       }
     }
@@ -95,16 +99,19 @@ std::vector<AtypicalCluster> IntegrateClusters(
   size_t fixpoint_rounds = 0;
 
   // A pair sharing no sensor has SimSF == 0 exactly and SimTF <= 1, so
-  // Sim <= 0.5 and it cannot exceed any δsim >= 0.5 (DESIGN §11).  There a
-  // slot's candidates are the alive slots sharing a sensor with it, found
-  // through the sensor postings: owner[] maps each input slot to the alive
-  // slot that absorbed it (path-halving find).  Below 0.5 every alive slot
-  // is a candidate.
-  const bool shared_sensor_only = params.delta_sim >= 0.5;
-  std::optional<SensorPostings> postings;
+  // Sim <= 0.5; likewise a pair sharing no window has SimTF == 0 and
+  // SimSF <= 1.  Neither can exceed any δsim >= 0.5 (DESIGN §11).  There a
+  // slot's candidates are the alive slots sharing a sensor and a window with
+  // it, found through one postings list per feature: owner[] maps each input
+  // slot to the alive slot that absorbed it (path-halving find).  Below 0.5
+  // every alive slot is a candidate.
+  const bool shared_keys_only = params.delta_sim >= 0.5;
+  std::optional<Postings> sensors;
+  std::optional<Postings> windows;
   std::vector<uint32_t> owner;
-  if (shared_sensor_only) {
-    postings.emplace(clusters);
+  if (shared_keys_only) {
+    sensors.emplace(clusters, &AtypicalCluster::spatial);
+    windows.emplace(clusters, &AtypicalCluster::temporal);
     owner.resize(n);
     std::iota(owner.begin(), owner.end(), uint32_t{0});
   }
@@ -115,13 +122,30 @@ std::vector<AtypicalCluster> IntegrateClusters(
     }
     return s;
   };
-  // Candidate bitmap of the slot whose turn it is, iterated ascending.
+  // Candidate bitmaps of the slot whose turn it is, one per feature; the
+  // scan visits their intersection in ascending order.
   std::vector<uint64_t> candidates(words);
-  // Marks every alive slot other than `self` that holds sensor `key`.
-  auto mark_holders = [&](uint32_t key, uint32_t self) {
-    for (const uint32_t slot : postings->Of(key)) {
+  std::vector<uint64_t> window_candidates(shared_keys_only ? words : 0);
+  // Marks in `bits` every alive slot other than `self` that holds `key`.
+  auto mark_holders = [&](const Postings& postings, std::vector<uint64_t>& bits,
+                          uint32_t key, uint32_t self) {
+    for (const uint32_t slot : postings.Of(key)) {
       const uint32_t root = find(slot);
-      if (root != self) SetBit(candidates, root);
+      if (root != self) SetBit(bits, root);
+    }
+  };
+  // Before slot i absorbs j: holders of i's own keys are marked already, so
+  // only j's other keys can bring in new candidates.
+  auto grow = [&](const Postings& postings, std::vector<uint64_t>& bits,
+                  uint32_t i, uint32_t j) {
+    const auto& mine = (clusters[i].*postings.feature).entries();
+    auto it = mine.begin();
+    for (const FeatureVector::Entry& e :
+         (clusters[j].*postings.feature).entries()) {
+      while (it != mine.end() && it->key < e.key) ++it;
+      if (it == mine.end() || it->key != e.key) {
+        mark_holders(postings, bits, e.key, i);
+      }
     }
   };
 
@@ -137,10 +161,14 @@ std::vector<AtypicalCluster> IntegrateClusters(
   bool converged = true;
   for (uint32_t i = 0; i < n && converged; ++i) {
     if (!TestBit(alive, i)) continue;
-    if (shared_sensor_only) {
+    if (shared_keys_only) {
       std::fill(candidates.begin(), candidates.end(), 0);
+      std::fill(window_candidates.begin(), window_candidates.end(), 0);
       for (const FeatureVector::Entry& e : clusters[i].spatial.entries()) {
-        mark_holders(e.key, i);
+        mark_holders(*sensors, candidates, e.key, i);
+      }
+      for (const FeatureVector::Entry& e : clusters[i].temporal.entries()) {
+        mark_holders(*windows, window_candidates, e.key, i);
       }
     } else {
       candidates = alive;
@@ -159,6 +187,7 @@ std::vector<AtypicalCluster> IntegrateClusters(
       ++fixpoint_rounds;
       for (size_t w = start >> 6; w < words && !merged_any; ++w) {
         uint64_t bits = candidates[w];
+        if (shared_keys_only) bits &= window_candidates[w];
         if (w == start >> 6) bits &= ~uint64_t{0} << (start & 63);
         for (; bits != 0; bits &= bits - 1) {
           const uint32_t j =
@@ -168,17 +197,11 @@ std::vector<AtypicalCluster> IntegrateClusters(
               params.delta_sim) {
             continue;
           }
-          if (shared_sensor_only) {
-            // Holders of i's own sensors are marked already; only j's other
-            // sensors can bring in new candidates.
+          if (shared_keys_only) {
             owner[j] = i;
-            const auto& mine = clusters[i].spatial.entries();
-            const auto& theirs = clusters[j].spatial.entries();
-            auto it = mine.begin();
-            for (const FeatureVector::Entry& e : theirs) {
-              while (it != mine.end() && it->key < e.key) ++it;
-              if (it == mine.end() || it->key != e.key) mark_holders(e.key, i);
-            }
+            grow(*sensors, candidates, i, j);
+            grow(*windows, window_candidates, i, j);
+            ClearBit(window_candidates, j);
           }
           clusters[i] = MergeClusters(clusters[i], clusters[j], ids);
           ClearBit(alive, j);

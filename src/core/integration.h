@@ -5,10 +5,11 @@
 // correctness by Property 3, but hard clustering makes the partition itself
 // order-dependent, so this implementation fixes a deterministic greedy
 // order).  Each round scans a slot's candidates in ascending order.  At
-// δsim >= 0.5 the candidates are the alive slots that share a sensor with
-// it, found through per-call sensor postings: a pair sharing no sensor has
-// Sim = ½(0 + SimTF) <= 0.5 and can never merge (DESIGN §11).  Below 0.5
-// every alive slot is a candidate.  A slot's first scan starts past itself,
+// δsim >= 0.5 the candidates are the alive slots that share a sensor and a
+// window with it, found through per-call sensor and window postings: a pair
+// sharing no sensor has Sim = ½(0 + SimTF) <= 0.5, one sharing no window
+// has Sim = ½(SimSF + 0) <= 0.5, and neither can merge (DESIGN §11).  Below
+// 0.5 every alive slot is a candidate.  A slot's first scan starts past itself,
 // since every lower slot has already rejected it.  The result is
 // bit-identical to the literal quadratic loop (tested).
 #ifndef ATYPICAL_CORE_INTEGRATION_H_

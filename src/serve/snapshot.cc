@@ -17,12 +17,16 @@ std::shared_ptr<const ForestSnapshot> SnapshotStore::AcquireSnapshot() const {
 void SnapshotStore::PublishSnapshot(
     std::shared_ptr<const ForestSnapshot> snapshot) {
   CHECK(snapshot != nullptr);
-  MutexLock lock(&mu_);
-  if (current_ != nullptr) {
-    CHECK_GT(snapshot->epoch, current_->epoch)
-        << "snapshot epochs must be published in increasing order";
+  {
+    MutexLock lock(&mu_);
+    if (current_ != nullptr) {
+      CHECK_GT(snapshot->epoch, current_->epoch)
+          << "snapshot epochs must be published in increasing order";
+    }
+    current_.swap(snapshot);
   }
-  current_ = std::move(snapshot);
+  // `snapshot` now holds the previous epoch: if it is the last reference,
+  // the teardown runs here, after unlock, not in front of acquires.
 }
 
 uint64_t SnapshotStore::current_epoch() const {

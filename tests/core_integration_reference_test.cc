@@ -6,8 +6,9 @@
 // order-dependent, so the oracle fixes the same greedy order the driver
 // documents (slot i absorbs the lowest-numbered alive slot that qualifies,
 // then rescans).  A seeded differential sweep then demands that
-// IntegrateClusters matches it in partition, features, ids, children and
-// day span.
+// IntegrateClusters matches it in partition, features, ids, children, day
+// span and record count, over populations that exercise both candidate
+// rules: pairs that share no sensor and pairs that share no window.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -120,6 +121,69 @@ std::vector<AtypicalCluster> EventMicros(int count, uint64_t seed,
   return out;
 }
 
+// Micros of a few overlapping events over 60 sensors whose windows spread
+// over a 288-window day: micros share sensors within and across events, but
+// windows mostly only within an event's 3-window core, which two micros in
+// three keep to.  So most sensor-sharing pairs share no window, and the
+// rest merge.  One micro in ten has no temporal
+// feature, one in five also holds a window of subnormal mass anywhere in
+// the day, and every micro offers a zero-severity window (which Add()
+// drops).  kAbsolute micros key their windows by absolute WindowId
+// (day · 288 + window of day) on two days near WindowId 1,000,000.
+std::vector<AtypicalCluster> SpreadWindowMicros(int count, uint64_t seed,
+                                                TemporalKeyMode key_mode,
+                                                ClusterIdGenerator* ids) {
+  constexpr uint32_t kWindowsPerDay = 288;
+  Rng rng(seed);
+  const int events = count / 6;
+  std::vector<uint32_t> first_sensor(events);
+  std::vector<uint32_t> first_window(events);
+  for (int e = 0; e < events; ++e) {
+    first_sensor[e] = static_cast<uint32_t>(rng.UniformInt(uint64_t{55}));
+    first_window[e] =
+        static_cast<uint32_t>(rng.UniformInt(uint64_t{kWindowsPerDay - 3}));
+  }
+  std::vector<AtypicalCluster> out;
+  for (int i = 0; i < count; ++i) {
+    const size_t e = rng.UniformInt(static_cast<uint64_t>(events));
+    AtypicalCluster c;
+    c.id = ids->Next();
+    c.micro_ids = {c.id};
+    c.key_mode = key_mode;
+    c.first_day = key_mode == TemporalKeyMode::kAbsolute
+                      ? 3472 + static_cast<int>(rng.UniformInt(uint64_t{2}))
+                      : static_cast<int>(rng.UniformInt(uint64_t{20}));
+    c.last_day = c.first_day;
+    c.num_records = 1 + static_cast<int64_t>(rng.UniformInt(uint64_t{40}));
+    const uint32_t day_base =
+        key_mode == TemporalKeyMode::kAbsolute
+            ? static_cast<uint32_t>(c.first_day) * kWindowsPerDay
+            : 0;
+    const bool in_core = rng.UniformInt(uint64_t{3}) != 0;
+    const bool no_windows = rng.UniformInt(uint64_t{10}) == 0;
+    const int keys = 1 + static_cast<int>(rng.UniformInt(uint64_t{3}));
+    for (int k = 0; k < keys; ++k) {
+      const double severity = rng.Uniform(0.5, 15.0);
+      c.spatial.Add(
+          first_sensor[e] + static_cast<uint32_t>(rng.UniformInt(uint64_t{5})),
+          severity);
+      const uint32_t window =
+          in_core ? first_window[e] +
+                        static_cast<uint32_t>(rng.UniformInt(uint64_t{3}))
+                  : static_cast<uint32_t>(rng.UniformInt(kWindowsPerDay));
+      if (!no_windows) c.temporal.Add(day_base + window, severity);
+    }
+    const uint32_t stray = day_base + static_cast<uint32_t>(
+                                          rng.UniformInt(kWindowsPerDay));
+    c.temporal.Add(stray, 0.0);
+    if (!no_windows && rng.UniformInt(uint64_t{5}) == 0) {
+      c.temporal.Add(stray, 0x1p-1074);
+    }
+    out.push_back(std::move(c));
+  }
+  return out;
+}
+
 void ExpectSameAsReference(const std::vector<AtypicalCluster>& got,
                            const std::vector<AtypicalCluster>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -156,26 +220,80 @@ size_t ExpectDriverMatchesReference(const std::vector<AtypicalCluster>& micros,
   return want.size();
 }
 
+constexpr BalanceFunction kAllBalanceFunctions[] = {
+    BalanceFunction::kMax, BalanceFunction::kMin,
+    BalanceFunction::kArithmeticMean, BalanceFunction::kGeometricMean,
+    BalanceFunction::kHarmonicMean};
+
+// ExpectDriverMatchesReference over `micros` in its given order and two
+// seeded shuffles of it.
+void ExpectEveryOrderMatchesReference(std::vector<AtypicalCluster> micros,
+                                      BalanceFunction g, double delta_sim) {
+  Rng shuffle(static_cast<uint64_t>(delta_sim * 100));
+  for (int order = 0; order < 3; ++order) {
+    if (order > 0) {
+      for (size_t i = micros.size(); i > 1; --i) {
+        std::swap(micros[i - 1], micros[shuffle.UniformInt(uint64_t{i})]);
+      }
+    }
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g) +
+                 " delta=" + std::to_string(delta_sim) +
+                 " order=" + std::to_string(order));
+    ExpectDriverMatchesReference(micros, g, delta_sim);
+  }
+}
+
 TEST(IntegrationReferenceTest, DriverMatchesLiteralAlgorithm3) {
-  for (const BalanceFunction g :
-       {BalanceFunction::kMax, BalanceFunction::kMin,
-        BalanceFunction::kArithmeticMean, BalanceFunction::kGeometricMean,
-        BalanceFunction::kHarmonicMean}) {
+  for (const BalanceFunction g : kAllBalanceFunctions) {
     for (const double delta_sim : {0.25, 0.5, 0.75}) {
       ClusterIdGenerator micro_ids(1);
-      std::vector<AtypicalCluster> micros =
-          RandomMicros(60, static_cast<uint64_t>(g) * 10 + 1, &micro_ids);
-      Rng shuffle(static_cast<uint64_t>(delta_sim * 100));
-      for (int order = 0; order < 3; ++order) {
-        if (order > 0) {
-          for (size_t i = micros.size(); i > 1; --i) {
-            std::swap(micros[i - 1], micros[shuffle.UniformInt(uint64_t{i})]);
-          }
+      ExpectEveryOrderMatchesReference(
+          RandomMicros(60, static_cast<uint64_t>(g) * 10 + 1, &micro_ids), g,
+          delta_sim);
+    }
+  }
+}
+
+TEST(IntegrationReferenceTest, DriverMatchesLiteralAlgorithm3WhenWindowsSpread) {
+  for (const TemporalKeyMode key_mode :
+       {TemporalKeyMode::kTimeOfDay, TemporalKeyMode::kAbsolute}) {
+    ClusterIdGenerator shape_ids(1);
+    const std::vector<AtypicalCluster> micros =
+        SpreadWindowMicros(60, 7, key_mode, &shape_ids);
+    // The population has the intended shape: most pairs that share a
+    // sensor share no window.
+    size_t share_sensor = 0;
+    size_t share_both = 0;
+    for (size_t i = 0; i < micros.size(); ++i) {
+      for (size_t j = i + 1; j < micros.size(); ++j) {
+        if (SpatialSimilarity(micros[i], micros[j], BalanceFunction::kMax) ==
+            0.0) {
+          continue;
         }
-        SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g) +
-                     " delta=" + std::to_string(delta_sim) +
-                     " order=" + std::to_string(order));
-        ExpectDriverMatchesReference(micros, g, delta_sim);
+        ++share_sensor;
+        if (micros[i].temporal.CommonSeverity(micros[j].temporal).first >
+            0.0) {
+          ++share_both;
+        }
+      }
+    }
+    EXPECT_LT(2 * share_both, share_sensor);
+    // ... and some of the rest merge at δsim = 0.5.
+    ClusterIdGenerator merge_ids(1000);
+    EXPECT_LT(ReferenceIntegrate(micros, BalanceFunction::kArithmeticMean,
+                                 0.5, &merge_ids)
+                  .size(),
+              micros.size());
+    for (const BalanceFunction g : kAllBalanceFunctions) {
+      for (const double delta_sim : {0.25, 0.5, 0.75}) {
+        SCOPED_TRACE(std::string("key_mode=") +
+                     (key_mode == TemporalKeyMode::kAbsolute ? "absolute"
+                                                             : "time_of_day"));
+        ClusterIdGenerator micro_ids(1);
+        ExpectEveryOrderMatchesReference(
+            SpreadWindowMicros(60, static_cast<uint64_t>(g) * 10 + 7, key_mode,
+                               &micro_ids),
+            g, delta_sim);
       }
     }
   }

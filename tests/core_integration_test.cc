@@ -1,5 +1,6 @@
 // Algorithm 3: cluster integration — fixpoint semantics, the stage-0
-// candidate rule, degradation budgets and micro-id bookkeeping.
+// candidate rules (shared sensor, shared window), degradation budgets and
+// micro-id bookkeeping.
 #include "core/integration.h"
 
 #include <cmath>
@@ -116,20 +117,21 @@ TEST(IntegrationTest, TransitiveAbsorption) {
   }
 }
 
-// ---- candidate structure at δsim >= 0.5 (sensor postings) ----
+// ---- candidate structure at δsim >= 0.5 (sensor and window postings) ----
 
 std::set<ClusterId> MicroIdSet(const AtypicalCluster& c) {
   return {c.micro_ids.begin(), c.micro_ids.end()};
 }
 
 TEST(IntegrationTest, FirstScanStartsPastTheSlot) {
-  // Every pair shares sensor 1 but no window, so Sim <= 0.5 and nothing
-  // merges at δsim = 0.5: each slot's only scan visits the slots after it,
-  // and every pair is evaluated exactly once.
+  // Every pair shares sensor 1 and window 0 at a tenth of its mass, so
+  // Sim = 0.1 and nothing merges at δsim = 0.5: each slot's only scan visits
+  // the slots after it, and every pair is evaluated exactly once.
   ClusterIdGenerator ids(1);
   std::vector<AtypicalCluster> micros;
   for (uint32_t k = 0; k < 40; ++k) {
-    micros.push_back(MakeMicro(&ids, {{1, 1.0}, {k + 2, 9.0}}, {{k, 10.0}}));
+    micros.push_back(MakeMicro(&ids, {{1, 1.0}, {k + 2, 9.0}},
+                               {{0, 1.0}, {k + 100, 9.0}}));
   }
   IntegrationParams params;
   params.delta_sim = 0.5;
@@ -300,6 +302,127 @@ TEST(StageZeroRuleTest, HarmonicMeanOfFractionsBelowOneStaysAtMostOne) {
   params.g = BalanceFunction::kHarmonicMean;
   ClusterIdGenerator ids(100000);
   EXPECT_EQ(IntegrateClusters(micros, params, &ids).size(), 2u);
+}
+
+// ---- window rule boundary ----
+
+// Two micros with identical spatial features (SimSF == 1.0 exactly) and no
+// shared window (SimTF == 0.0): Sim is exactly 0.5 under every g.
+std::vector<AtypicalCluster> SameSensorsNoSharedWindow() {
+  ClusterIdGenerator ids(1);
+  std::vector<AtypicalCluster> micros(2);
+  for (uint32_t i = 0; i < 2; ++i) {
+    AtypicalCluster& c = micros[i];
+    c.id = ids.Next();
+    c.micro_ids = {c.id};
+    c.spatial.Add(3, 7.0);
+    c.spatial.Add(4, 3.0);
+    c.temporal.Add(10 + i, 6.0);
+    c.temporal.Add(20 + i, 4.0);
+  }
+  return micros;
+}
+
+TEST(WindowRuleTest, PairAtExactlyHalfDoesNotMergeAndIsNeverACandidate) {
+  const std::vector<AtypicalCluster> micros = SameSensorsNoSharedWindow();
+  for (const BalanceFunction g : kAllBalanceFunctions) {
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
+    ASSERT_EQ(SpatialSimilarity(micros[0], micros[1], g), 1.0);
+    ASSERT_EQ(TemporalSimilarity(micros[0], micros[1], g), 0.0);
+    ASSERT_EQ(Similarity(micros[0], micros[1], g), 0.5);
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = 0.5;  // 0.5 is not > 0.5
+    IntegrationStats stats;
+    ClusterIdGenerator ids(100000);
+    const auto out = IntegrateClusters(micros, params, &ids, &stats);
+    EXPECT_EQ(out.size(), 2u);
+    // The slots share every sensor but no window, so neither is ever the
+    // other's candidate: no pair is evaluated.
+    EXPECT_EQ(stats.similarity_checks, 0u);
+  }
+}
+
+TEST(WindowRuleTest, BelowHalfTheRuleIsOffAndSpaceAloneMerges) {
+  const std::vector<AtypicalCluster> micros = SameSensorsNoSharedWindow();
+  for (const BalanceFunction g : kAllBalanceFunctions) {
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = 0.4;
+    IntegrationStats stats;
+    ClusterIdGenerator ids(100000);
+    const auto out = IntegrateClusters(micros, params, &ids, &stats);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(stats.merges, 1u);
+    EXPECT_EQ(stats.similarity_checks, 1u);
+  }
+}
+
+TEST(WindowRuleTest, WindowOfAnAbsorbedSlotBringsInItsHolders) {
+  // A and C share sensor 1 but no window; B shares window 10 with A and
+  // window 20 with C.  Once A absorbs B, C shares window 20 with the grown
+  // slot and must become its candidate in the same turn: C's own turn scans
+  // only past itself and would never revisit slot 0.
+  ClusterIdGenerator ids(1);
+  std::vector<AtypicalCluster> micros;
+  micros.push_back(MakeMicro(&ids, {{1, 10.0}}, {{10, 10.0}}));
+  micros.push_back(MakeMicro(&ids, {{1, 10.0}}, {{10, 5.0}, {20, 5.0}}));
+  micros.push_back(MakeMicro(&ids, {{1, 10.0}}, {{20, 10.0}}));
+  for (const BalanceFunction g : kAllBalanceFunctions) {
+    SCOPED_TRACE(std::string("g=") + BalanceFunctionName(g));
+    ASSERT_EQ(TemporalSimilarity(micros[0], micros[2], g), 0.0);
+    IntegrationParams params;
+    params.g = g;
+    params.delta_sim = 0.5;
+    IntegrationStats stats;
+    ClusterIdGenerator merge_ids(100);
+    const auto out = IntegrateClusters(micros, params, &merge_ids, &stats);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].num_micros(), 3);
+    EXPECT_EQ(stats.merges, 2u);
+    // A–B, then the grown slot against C; A–C is never evaluated.
+    EXPECT_EQ(stats.similarity_checks, 2u);
+  }
+}
+
+TEST(WindowRuleTest, WindowKeysFarFromZeroGiveTheSamePartition) {
+  // Window postings are sized by the inputs' key span, as absolute WindowIds
+  // need: shifting every temporal key by 1,000,000 changes nothing in the
+  // output.
+  auto shifted = [](std::vector<AtypicalCluster> micros, uint32_t offset) {
+    for (AtypicalCluster& c : micros) {
+      FeatureVector temporal;
+      for (const auto& e : c.temporal.entries()) {
+        temporal.Add(e.key + offset, e.severity);
+      }
+      c.temporal = std::move(temporal);
+    }
+    return micros;
+  };
+  Rng rng(37);
+  ClusterIdGenerator ids(1);
+  const std::vector<AtypicalCluster> micros = RandomMicros(80, 12, rng, &ids);
+  for (const double delta_sim : {0.5, 0.7}) {
+    IntegrationParams params;
+    params.delta_sim = delta_sim;
+    ClusterIdGenerator near_ids(1000);
+    ClusterIdGenerator far_ids(1000);
+    IntegrationStats near_stats;
+    IntegrationStats far_stats;
+    const auto near = IntegrateClusters(micros, params, &near_ids, &near_stats);
+    const auto far = IntegrateClusters(shifted(micros, 1000000), params,
+                                       &far_ids, &far_stats);
+    ASSERT_EQ(near.size(), far.size());
+    ASSERT_LT(near.size(), micros.size()) << "the population must merge";
+    EXPECT_EQ(near_stats.similarity_checks, far_stats.similarity_checks);
+    for (size_t i = 0; i < near.size(); ++i) {
+      EXPECT_EQ(near[i].id, far[i].id);
+      EXPECT_EQ(near[i].micro_ids, far[i].micro_ids);
+      EXPECT_EQ(near[i].temporal.entries().front().key + 1000000,
+                far[i].temporal.entries().front().key);
+    }
+  }
 }
 
 TEST(IntegrationTest, FixpointPropertyNoSimilarPairRemains) {

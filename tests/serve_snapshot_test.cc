@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -71,6 +73,36 @@ TEST_F(ServeSnapshotTest, EpochsAdvanceMonotonically) {
     EXPECT_EQ(serving->current_epoch(), snap->epoch);
     last = snap->epoch;
   }
+}
+
+TEST_F(ServeSnapshotTest, PreviousEpochIsReleasedAfterUnlock) {
+  // When the store drops the last reference to the previous epoch, that
+  // epoch's teardown must not run under the store's lock: a reader arriving
+  // meanwhile gets the new epoch at once.  The bounded wait turns a
+  // regression into a failure instead of a hang.
+  auto serving = MakeServing(*ctx_, analytics::DefaultEngineOptions());
+  const std::shared_ptr<const ForestSnapshot> base = serving->AcquireSnapshot();
+  auto make = [&](uint64_t epoch) {
+    return new ForestSnapshot(epoch, &ctx_->network(), &ctx_->regions(),
+                              base->forest, base->cube,
+                              analytics::DefaultEngineOptions());
+  };
+  std::future<uint64_t> reader;
+  bool reader_finished = false;
+  SnapshotStore store;
+  store.PublishSnapshot(std::shared_ptr<const ForestSnapshot>(
+      make(1), [&](const ForestSnapshot* old) {
+        reader = std::async(std::launch::async,
+                            [&store] { return store.current_epoch(); });
+        reader_finished = reader.wait_for(std::chrono::seconds(1)) ==
+                          std::future_status::ready;
+        delete old;
+      }));
+  store.PublishSnapshot(std::shared_ptr<const ForestSnapshot>(make(2)));
+  ASSERT_TRUE(reader.valid()) << "epoch 1 was not released by the publish";
+  EXPECT_TRUE(reader_finished)
+      << "epoch 1 was torn down while the store's lock was held";
+  EXPECT_EQ(reader.get(), 2u);
 }
 
 TEST_F(ServeSnapshotTest, OldEpochKeepsOldAnswer) {
