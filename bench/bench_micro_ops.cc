@@ -1,6 +1,6 @@
 // Operation-level micro-benchmarks (google-benchmark): the primitive costs
 // behind Propositions 1-3 — feature merges, similarity, event retrieval
-// with/without the index, cube aggregation, record codecs.
+// with/without the index, cube aggregation, epoch publish, record codecs.
 #include <benchmark/benchmark.h>
 
 #include "analytics/report.h"
@@ -10,6 +10,7 @@
 #include "core/similarity.h"
 #include "cube/measure.h"
 #include "gen/workload.h"
+#include "serve/snapshot.h"
 #include "storage/format.h"
 #include "util/random.h"
 
@@ -157,6 +158,48 @@ void BM_MeasureF(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeasureF);
+
+// One day installed and published over range(0) stored days, each holding
+// a copy of one real day's leaves and a region×day row.  A publish copies
+// only the changed day (DESIGN §16), so the rows should stay close.  The
+// history is rebuilt, untimed, every range(0)/10 + 1 iterations so it stays
+// within 10% of the nominal day count.
+void BM_PublishOneDay(benchmark::State& state) {
+  RetrievalFixture& f = Fixture();
+  const Workload& world = *f.workload;
+  const TimeGrid& grid = world.gen_config.time_grid;
+  AtypicalForest month(world.sensors.get(), grid,
+                       analytics::DefaultForestParams());
+  month.AddRecords(f.records);
+  const std::vector<AtypicalCluster>& leaves =
+      month.MicrosOfDay(month.Days().front());
+  const int stored = static_cast<int>(state.range(0));
+  std::unique_ptr<serve::ServingForest> serving;
+  int next_day = 0;
+  int64_t iteration = 0;
+  for (auto _ : state) {
+    if (iteration++ % (stored / 10 + 1) == 0) {
+      state.PauseTiming();
+      serving = std::make_unique<serve::ServingForest>(
+          world.sensors.get(), world.regions.get(), grid,
+          analytics::DefaultForestParams(), analytics::DefaultEngineOptions());
+      std::vector<AtypicalRecord> records;
+      for (next_day = 0; next_day < stored; ++next_day) {
+        serving->staging_forest()->InstallDay(next_day, leaves);
+        records.push_back(AtypicalRecord{0, grid.MakeWindow(next_day, 0),
+                                         1.0f});
+      }
+      serving->staging_cube()->MergeFrom(
+          cube::RegionDayMeasure::FromAtypical(records, *world.regions, grid));
+      serving->PublishSnapshot();
+      state.ResumeTiming();
+    }
+    serving->staging_forest()->InstallDay(next_day++, leaves);
+    benchmark::DoNotOptimize(serving->PublishSnapshot());
+  }
+  state.counters["leaves_per_day"] = static_cast<double>(leaves.size());
+}
+BENCHMARK(BM_PublishOneDay)->Arg(30)->Arg(300)->Arg(3000);
 
 void BM_RecordCodec(benchmark::State& state) {
   Reading r;

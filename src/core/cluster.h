@@ -170,7 +170,7 @@ class ClusterIdGenerator {
   }
 
   // Copyable so owners are copyable for snapshot cloning (the serving
-  // layer's epoch publish copies the whole forest, DESIGN §16).  The copy
+  // layer's epoch publish copies the forest, DESIGN §16).  The copy
   // continues from the source's current position; both generators then
   // advance independently, which is exactly right for an immutable snapshot
   // next to a still-ingesting original.

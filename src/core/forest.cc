@@ -25,7 +25,6 @@ void AtypicalForest::AddDay(int day,
   }
   std::vector<AtypicalCluster> micros = RetrieveMicroClusters(
       records, *network_, grid_, params_.retrieval, &ids_);
-  CompactForSharing(&micros);
 
   static obs::Counter* const days_added =
       obs::Registry()->GetCounter("forest.days_added");
@@ -36,25 +35,20 @@ void AtypicalForest::AddDay(int day,
   micros_per_day->Record(static_cast<double>(micros.size()));
 
   num_micros_ += micros.size();
-  day_versions_[day] = ++version_;
-  auto [it, inserted] = micros_by_day_.try_emplace(day, std::move(micros));
-  if (inserted) {
+  Day& stored = days_[day];
+  stored.version = ++version_;
+  if (stored.micros == nullptr) {
     days_added->Add(1);
   } else {
     // Late batch for an existing day: the new batch was clustered on its
-    // own above; append its micro-clusters to the day's leaf set.  Records
-    // split across batches are not re-joined at the leaf — query-time
-    // integration merges similar clusters — and materialized week/month
-    // levels are not refreshed automatically.
+    // own above; append its micro-clusters to a copy of the day's leaves.
+    // Records split across batches are not re-joined at the leaf — query-
+    // time integration merges similar clusters — and materialized
+    // week/month levels are not refreshed automatically.
     day_batches_merged->Add(1);
-    std::vector<AtypicalCluster>& existing = it->second;
-    if (existing.empty()) {
-      existing = std::move(micros);
-    } else {
-      existing.insert(existing.end(), std::make_move_iterator(micros.begin()),
-                      std::make_move_iterator(micros.end()));
-    }
+    micros.insert(micros.begin(), stored.micros->begin(), stored.micros->end());
   }
+  stored.micros = Freeze(std::move(micros));
 }
 
 void AtypicalForest::AddRecords(const std::vector<AtypicalRecord>& records) {
@@ -95,15 +89,15 @@ const DayProvenance* AtypicalForest::day_provenance(int day) const {
 
 std::vector<int> AtypicalForest::Days() const {
   std::vector<int> days;
-  days.reserve(micros_by_day_.size());
-  for (const auto& [day, _] : micros_by_day_) days.push_back(day);
+  days.reserve(days_.size());
+  for (const auto& [day, _] : days_) days.push_back(day);
   return days;
 }
 
 const std::vector<AtypicalCluster>& AtypicalForest::MicrosOfDay(int day) const {
-  const auto it = micros_by_day_.find(day);
-  CHECK(it != micros_by_day_.end()) << "no micro-clusters for day " << day;
-  return it->second;
+  const auto it = days_.find(day);
+  CHECK(it != days_.end()) << "no micro-clusters for day " << day;
+  return *it->second.micros;
 }
 
 std::vector<const AtypicalCluster*> AtypicalForest::MicrosInRange(
@@ -116,9 +110,9 @@ std::vector<const AtypicalCluster*> AtypicalForest::MicrosInRange(
 void AtypicalForest::MicrosInRange(
     const DayRange& range, std::vector<const AtypicalCluster*>* out) const {
   out->clear();
-  for (auto it = micros_by_day_.lower_bound(range.first_day);
-       it != micros_by_day_.end() && it->first <= range.last_day; ++it) {
-    for (const AtypicalCluster& c : it->second) out->push_back(&c);
+  for (auto it = days_.lower_bound(range.first_day);
+       it != days_.end() && it->first <= range.last_day; ++it) {
+    for (const AtypicalCluster& c : *it->second.micros) out->push_back(&c);
   }
 }
 
@@ -138,10 +132,7 @@ std::vector<AtypicalCluster> AtypicalForest::IntegrateRange(
     input.push_back(WithTemporalKeyMode(*micro, grid_,
                                         TemporalKeyMode::kTimeOfDay));
   }
-  std::vector<AtypicalCluster> macros =
-      IntegrateClusters(std::move(input), params_.integration, &ids_);
-  CompactForSharing(&macros);
-  return macros;
+  return IntegrateClusters(std::move(input), params_.integration, &ids_);
 }
 
 size_t AtypicalForest::MaterializeWeeks() {
@@ -152,7 +143,7 @@ size_t AtypicalForest::MaterializeWeeks() {
   obs::TraceSpan span(seconds);
   macros_by_week_.clear();
   std::map<int, DayRange> weeks;
-  for (const auto& [day, _] : micros_by_day_) {
+  for (const auto& [day, _] : days_) {
     auto [it, inserted] =
         weeks.emplace(cube::WeekOfDay(day), DayRange{day, day});
     if (!inserted) {
@@ -164,9 +155,9 @@ size_t AtypicalForest::MaterializeWeeks() {
   for (const auto& [week, range] : weeks) {
     std::vector<AtypicalCluster> macros = IntegrateRange(range);
     built += macros.size();
-    macros_by_week_.emplace(week, std::move(macros));
+    macros_by_week_.emplace(week, Freeze(std::move(macros)));
   }
-  weeks_version_ = version_;
+  weeks_version_ = ++version_;
   weeks_materialized->Add(macros_by_week_.size());
   return built;
 }
@@ -181,7 +172,7 @@ size_t AtypicalForest::MaterializeMonths(int days_per_month) {
   month_days_ = days_per_month;
   macros_by_month_.clear();
   std::map<int, DayRange> months;
-  for (const auto& [day, _] : micros_by_day_) {
+  for (const auto& [day, _] : days_) {
     const int month = cube::MonthOfDay(day, days_per_month);
     auto [it, inserted] = months.emplace(month, DayRange{day, day});
     if (!inserted) {
@@ -193,9 +184,9 @@ size_t AtypicalForest::MaterializeMonths(int days_per_month) {
   for (const auto& [month, range] : months) {
     std::vector<AtypicalCluster> macros = IntegrateRange(range);
     built += macros.size();
-    macros_by_month_.emplace(month, std::move(macros));
+    macros_by_month_.emplace(month, Freeze(std::move(macros)));
   }
-  months_version_ = version_;
+  months_version_ = ++version_;
   months_materialized->Add(macros_by_month_.size());
   return built;
 }
@@ -204,7 +195,7 @@ const std::vector<AtypicalCluster>& AtypicalForest::MacrosOfWeek(
     int week) const {
   const auto it = macros_by_week_.find(week);
   CHECK(it != macros_by_week_.end()) << "week " << week << " not materialized";
-  return it->second;
+  return *it->second;
 }
 
 const std::vector<AtypicalCluster>& AtypicalForest::MacrosOfMonth(
@@ -212,7 +203,7 @@ const std::vector<AtypicalCluster>& AtypicalForest::MacrosOfMonth(
   const auto it = macros_by_month_.find(month);
   CHECK(it != macros_by_month_.end())
       << "month " << month << " not materialized";
-  return it->second;
+  return *it->second;
 }
 
 std::vector<int> AtypicalForest::MaterializedWeeks() const {
@@ -237,29 +228,29 @@ void AtypicalForest::AdvanceIdsPast(
   ids_.EnsureAbove(max_id);
 }
 
-void AtypicalForest::CompactForSharing(
-    std::vector<AtypicalCluster>* clusters) {
-  for (const AtypicalCluster& c : *clusters) {
+AtypicalForest::Block AtypicalForest::Freeze(
+    std::vector<AtypicalCluster> clusters) {
+  for (const AtypicalCluster& c : clusters) {
     c.spatial.EnsureCompact();
     c.temporal.EnsureCompact();
   }
+  return std::make_shared<const std::vector<AtypicalCluster>>(
+      std::move(clusters));
 }
 
 void AtypicalForest::InstallDay(int day,
                                 std::vector<AtypicalCluster> micros) {
-  CHECK(!micros_by_day_.contains(day)) << "day " << day << " already present";
+  CHECK(!days_.contains(day)) << "day " << day << " already present";
   AdvanceIdsPast(micros);
-  CompactForSharing(&micros);
   num_micros_ += micros.size();
-  day_versions_[day] = ++version_;
-  micros_by_day_.emplace(day, std::move(micros));
+  days_.emplace(day, Day{Freeze(std::move(micros)), ++version_});
 }
 
 bool AtypicalForest::DaysMutatedSince(int first_day, int last_day,
                                       uint64_t level_version) const {
-  for (auto it = day_versions_.lower_bound(first_day);
-       it != day_versions_.end() && it->first <= last_day; ++it) {
-    if (it->second > level_version) return true;
+  for (auto it = days_.lower_bound(first_day);
+       it != days_.end() && it->first <= last_day; ++it) {
+    if (it->second.version > level_version) return true;
   }
   return false;
 }
@@ -277,16 +268,44 @@ bool AtypicalForest::MonthIsStale(int month) const {
 
 uint64_t AtypicalForest::ByteSize() const {
   uint64_t bytes = 0;
-  for (const auto& [_, micros] : micros_by_day_) {
-    for (const AtypicalCluster& c : micros) bytes += c.ByteSize();
-  }
-  for (const auto& [_, macros] : macros_by_week_) {
-    for (const AtypicalCluster& c : macros) bytes += c.ByteSize();
-  }
-  for (const auto& [_, macros] : macros_by_month_) {
-    for (const AtypicalCluster& c : macros) bytes += c.ByteSize();
-  }
+  auto add = [&bytes](const Block& block) {
+    for (const AtypicalCluster& c : *block) bytes += c.ByteSize();
+  };
+  for (const auto& [_, day] : days_) add(day.micros);
+  for (const auto& [_, block] : macros_by_week_) add(block);
+  for (const auto& [_, block] : macros_by_month_) add(block);
   return bytes;
+}
+
+AtypicalForest AtypicalForest::EpochCopy(const AtypicalForest* previous,
+                                         uint64_t* copied) const {
+  auto copy = [copied](const Block& block) {
+    ++*copied;
+    return std::make_shared<const std::vector<AtypicalCluster>>(*block);
+  };
+  AtypicalForest epoch = *this;
+  // Days are never removed, so `previous`'s days are a subset of these: one
+  // walk in day order pairs each day with its previous version.
+  auto old = previous == nullptr ? days_.end() : previous->days_.begin();
+  const auto old_end =
+      previous == nullptr ? days_.end() : previous->days_.end();
+  for (auto& [day, leaves] : epoch.days_) {
+    while (old != old_end && old->first < day) ++old;
+    const bool unchanged = old != old_end && old->first == day &&
+                           old->second.version == leaves.version;
+    leaves.micros = unchanged ? old->second.micros : copy(leaves.micros);
+  }
+  if (previous != nullptr && previous->weeks_version_ == weeks_version_) {
+    epoch.macros_by_week_ = previous->macros_by_week_;
+  } else {
+    for (auto& [_, block] : epoch.macros_by_week_) block = copy(block);
+  }
+  if (previous != nullptr && previous->months_version_ == months_version_) {
+    epoch.macros_by_month_ = previous->macros_by_month_;
+  } else {
+    for (auto& [_, block] : epoch.macros_by_month_) block = copy(block);
+  }
+  return epoch;
 }
 
 }  // namespace atypical

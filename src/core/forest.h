@@ -9,6 +9,7 @@
 #define ATYPICAL_CORE_FOREST_H_
 
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "core/cluster.h"
@@ -71,7 +72,7 @@ class AtypicalForest {
 
   // Days present, ascending.
   std::vector<int> Days() const;
-  bool HasDay(int day) const { return micros_by_day_.contains(day); }
+  bool HasDay(int day) const { return days_.contains(day); }
   const std::vector<AtypicalCluster>& MicrosOfDay(int day) const;
 
   // Leaf micro-clusters whose day falls in `range` (ascending day order).
@@ -104,13 +105,13 @@ class AtypicalForest {
 
   // ---- mutation versioning ----
   // Monotone counter bumped by every day mutation (AddDay / AddRecords /
-  // InstallDay).  Materialization records the version it was built at, so a
-  // materialized level whose covered days mutated afterwards is detectable
-  // as stale — the query planner must not serve its macros
-  // (CollectPlannedInputs skips them and counts
-  // query.stale_materialized_skipped).  Only day mutations count: cube
-  // changes and RecordDayProvenance() leave the version alone, so it is no
-  // "anything changed since publish" signal.
+  // InstallDay) and every materialization, which stamps its level with the
+  // new version.  A materialized level whose covered days mutated afterwards
+  // is thus detectable as stale — the query planner must not serve its
+  // macros (CollectPlannedInputs skips them and counts
+  // query.stale_materialized_skipped).  Cube changes and
+  // RecordDayProvenance() leave the version alone, so it is no "anything
+  // changed since publish" signal.
   //
   // True when some day in the week's/month's span mutated after the level
   // was last materialized.  Weeks/months that were never
@@ -136,7 +137,22 @@ class AtypicalForest {
   size_t num_micro_clusters() const { return num_micros_; }
   uint64_t ByteSize() const;
 
+  // The forest of a published epoch (DESIGN §16), given the epoch copy made
+  // at the last publish (or nullptr).  Days and levels unchanged since then
+  // share its blocks; the rest are deep-copied, in day order, so this forest
+  // keeps its own.  Adds the number of blocks copied to `*copied`.
+  AtypicalForest EpochCopy(const AtypicalForest* previous,
+                           uint64_t* copied) const;
+
  private:
+  // A day's leaves, or a week's or month's macros.  Mutations swap in a new
+  // block and never write through one, so forest copies can share blocks.
+  using Block = std::shared_ptr<const std::vector<AtypicalCluster>>;
+  struct Day {
+    Block micros;
+    uint64_t version = 0;  // of the day's last mutation
+  };
+
   // Integrates the day-leaf micros of `range` after re-keying to
   // time-of-day.
   std::vector<AtypicalCluster> IntegrateRange(const DayRange& range);
@@ -144,10 +160,10 @@ class AtypicalForest {
   // Moves the id generator past every id in `clusters`.
   void AdvanceIdsPast(const std::vector<AtypicalCluster>& clusters);
 
-  // Compacts the feature vectors of clusters about to be stored.  Snapshot
-  // readers share stored clusters read-only (DESIGN §8); a still-dirty
+  // Compacts the features of clusters about to be stored into a block.
+  // Snapshot readers share stored clusters read-only (DESIGN §8); a dirty
   // vector would be sorted under const by whichever reader touched it first.
-  static void CompactForSharing(std::vector<AtypicalCluster>* clusters);
+  static Block Freeze(std::vector<AtypicalCluster> clusters);
 
   // Any day in [first_day, last_day] mutated after `level_version`?
   bool DaysMutatedSince(int first_day, int last_day,
@@ -157,17 +173,16 @@ class AtypicalForest {
   TimeGrid grid_;
   ForestParams params_;
   ClusterIdGenerator ids_;
-  std::map<int, std::vector<AtypicalCluster>> micros_by_day_;
-  std::map<int, std::vector<AtypicalCluster>> macros_by_week_;
-  std::map<int, std::vector<AtypicalCluster>> macros_by_month_;
+  std::map<int, Day> days_;
+  std::map<int, Block> macros_by_week_;
+  std::map<int, Block> macros_by_month_;
   std::map<int, DayProvenance> provenance_by_day_;
   size_t num_micros_ = 0;
   int month_days_ = 0;
-  // Mutation versioning: version_ counts day mutations, day_versions_ maps
-  // each day to the version of its last mutation, and the per-level stamps
-  // record the version the level was materialized at.
+  // Mutation versioning: version_ counts day mutations and
+  // materializations, each Day holds the version of its last mutation, and
+  // the per-level stamps record the version the level was materialized at.
   uint64_t version_ = 0;
-  std::map<int, uint64_t> day_versions_;
   uint64_t weeks_version_ = 0;
   uint64_t months_version_ = 0;
 };

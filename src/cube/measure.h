@@ -4,11 +4,13 @@
 // Property 4 total severity is distributive, so F over any region set and
 // day range is the sum of its region×day cells.  RegionDayMeasure stores
 // those cells densely — one region-indexed row per day — so F and
-// RegionDaySeverity are array reads and an epoch clone is a flat copy.
+// RegionDaySeverity are array reads.  Rows are immutable and shared: a
+// MergeFrom swaps in new rows for the days it touches, copy-on-write, so a
+// copy of the measure (an epoch's, DESIGN §16) copies only row pointers.
 //
 // Reads are total: a (region, day) outside the stored rows reads 0.0, which
 // covers days before the first ingest, future days and regions past a row's
-// length.  Days with no atypical record keep an empty row.
+// length.  Days with no atypical record keep a null (empty) row.
 //
 // Summation order is fixed, so results do not depend on how the measure was
 // assembled: a cell accumulates severities in record order, MergeFrom adds
@@ -17,6 +19,7 @@
 #define ATYPICAL_CUBE_MEASURE_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "cps/record.h"
@@ -38,6 +41,7 @@ class RegionDayMeasure {
 
   // Adds `other` cell by cell (used to accumulate days and months), growing
   // rows and the day count as needed.  Distributivity makes this exact.
+  // Only the rows `other` has are replaced; the rest stay shared.
   void MergeFrom(const RegionDayMeasure& other);
 
   // Total severity F(W', T) for a set of regions and a day range
@@ -47,15 +51,16 @@ class RegionDayMeasure {
   // Severity of a single (region, day) cell; 0.0 outside the stored rows.
   double RegionDaySeverity(RegionId region, int day) const {
     if (day < 0 || static_cast<size_t>(day) >= days_.size()) return 0.0;
-    const std::vector<double>& row = days_[static_cast<size_t>(day)];
-    return region < row.size() ? row[region] : 0.0;
+    const std::vector<double>* row = days_[static_cast<size_t>(day)].get();
+    return row != nullptr && region < row->size() ? (*row)[region] : 0.0;
   }
 
   // The dense payload: Σ row sizes × sizeof(double).
   uint64_t ByteSize() const;
 
  private:
-  std::vector<std::vector<double>> days_;  // days_[day][region]
+  using Row = std::shared_ptr<const std::vector<double>>;
+  std::vector<Row> days_;  // (*days_[day])[region]; null: an empty row
 };
 
 }  // namespace cube

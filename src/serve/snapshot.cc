@@ -54,17 +54,25 @@ std::shared_ptr<const ForestSnapshot> ServingForest::PublishSnapshot() {
       obs::Registry()->GetCounter("serve.snapshot.publishes");
   static obs::Gauge* const epoch_gauge =
       obs::Registry()->GetGauge("serve.snapshot.epoch");
+  static obs::Counter* const days_copied =
+      obs::Registry()->GetCounter("serve.snapshot.days_copied");
   static obs::Histogram* const seconds =
       obs::Registry()->GetHistogram("serve.snapshot.publish_seconds");
   obs::TraceSpan span(seconds);
 
+  // Single writer: the current epoch is the one this publish follows.
+  const std::shared_ptr<const ForestSnapshot> previous =
+      store_.AcquireSnapshot();
+  uint64_t copied = 0;
   auto snapshot = std::make_shared<const ForestSnapshot>(
       next_epoch_++, network_, regions_,
-      std::make_shared<const AtypicalForest>(staging_),
+      std::make_shared<const AtypicalForest>(staging_.EpochCopy(
+          previous == nullptr ? nullptr : previous->forest.get(), &copied)),
       std::make_shared<const cube::RegionDayMeasure>(cube_), options_);
   store_.PublishSnapshot(snapshot);
 
   publishes->Add(1);
+  days_copied->Add(copied);
   epoch_gauge->Set(static_cast<int64_t>(snapshot->epoch));
   return snapshot;
 }

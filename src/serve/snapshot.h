@@ -12,15 +12,16 @@
 //     nanoseconds) and then run queries without any synchronization at all
 //     — nothing they touch can change;
 //   * the single writer mutates a private staging forest/cube that no
-//     reader can see, and PublishSnapshot() clones it into a fresh
+//     reader can see, and PublishSnapshot() copies it into a fresh
 //     immutable epoch and swaps the pointer.  Readers holding the old
 //     epoch keep it alive (shared_ptr) and finish their queries against a
 //     consistent state; new acquires see the new epoch.
 //
 // Readers never block writers and writers never block readers beyond the
 // pointer swap; there is no reader-count bookkeeping to contend on.  The
-// price is one model copy per publish, amortized by publish cadence (a
-// day-batch install, not a per-record event).
+// price is one copy per changed day per publish: a day unchanged since the
+// previous epoch, and the region×day rows, are shared between epochs
+// (AtypicalForest::EpochCopy, cube::RegionDayMeasure).
 #ifndef ATYPICAL_SERVE_SNAPSHOT_H_
 #define ATYPICAL_SERVE_SNAPSHOT_H_
 
@@ -98,8 +99,9 @@ class ServingForest {
   AtypicalForest* staging_forest() { return &staging_; }
   cube::RegionDayMeasure* staging_cube() { return &cube_; }
 
-  // Clones the staging state into a new immutable epoch and swaps it in.
-  // Returns the published snapshot.
+  // Copies the staging state into a new immutable epoch, sharing what did
+  // not change since the previous one, and swaps it in.  Returns the
+  // published snapshot.
   std::shared_ptr<const ForestSnapshot> PublishSnapshot();
 
   // ---- reader side ----

@@ -4,8 +4,9 @@
 // readiness contract (DESIGN §15): the allocation budgets that
 // scripts/check_effects.py grandfathers in effects_ratchet.json are pinned
 // here — QueryEngine::Run stays under a named steady-state budget with a
-// warm QueryScratch, and the similarity verdict on similarity-ready
-// clusters allocates nothing at all.
+// warm QueryScratch, the similarity verdict on similarity-ready clusters
+// allocates nothing at all, and a publish allocates for the days that
+// changed, not for the stored history (DESIGN §16).
 #include "util/alloc_probe.h"
 
 #include <iostream>
@@ -17,6 +18,8 @@
 #include "analytics/report.h"
 #include "core/query.h"
 #include "core/similarity.h"
+#include "gen/workload.h"
+#include "serve/snapshot.h"
 
 namespace atypical {
 namespace {
@@ -198,6 +201,69 @@ TEST(SimilarityAllocTest, CompactedSimilarityIsAllocationFree) {
   const uint64_t count = probe.Count();
   EXPECT_EQ(count, 0u);
   EXPECT_GT(sum, 0.0);  // the clusters overlap, so the scans did real work
+}
+
+// ---- publish cost (DESIGN §16) --------------------------------------------
+
+// Heap allocations a publish may make per stored day that did not change:
+// the epoch forest's one map node for the day (its leaf-block pointer and
+// mutation version; measured exactly 1), plus one spare.  Deep-copying an
+// unchanged day would cost two allocations for the block and three per
+// cluster (two feature vectors and the micro ids), 2 + 3 * kClustersPerDay
+// = 14 here.
+constexpr uint64_t kPublishAllocsPerStoredDay = 2;
+constexpr int kClustersPerDay = 4;
+
+// A day of kClustersPerDay one-record leaves.
+std::vector<AtypicalCluster> SyntheticDay(int day, const TimeGrid& grid) {
+  std::vector<AtypicalCluster> micros(kClustersPerDay);
+  for (int i = 0; i < kClustersPerDay; ++i) {
+    AtypicalCluster& c = micros[i];
+    c.id = static_cast<ClusterId>(day) * kClustersPerDay + i + 1;
+    c.micro_ids = {c.id};
+    c.spatial.Add(static_cast<uint32_t>(i), 1.0);
+    c.temporal.Add(static_cast<uint32_t>(grid.MakeWindow(day, i)), 1.0);
+    c.first_day = c.last_day = day;
+    c.num_records = 1;
+  }
+  return micros;
+}
+
+// Allocations of the publish that follows `history` published days and
+// one newly installed day (with its region×day row).
+uint64_t PublishAllocs(const Workload& world, int history) {
+  const TimeGrid& grid = world.gen_config.time_grid;
+  serve::ServingForest serving(world.sensors.get(), world.regions.get(), grid,
+                               analytics::DefaultForestParams(),
+                               analytics::DefaultEngineOptions());
+  auto stage = [&](int first_day, int last_day) {
+    std::vector<AtypicalRecord> records;
+    for (int day = first_day; day <= last_day; ++day) {
+      serving.staging_forest()->InstallDay(day, SyntheticDay(day, grid));
+      records.push_back(AtypicalRecord{0, grid.MakeWindow(day, 0), 1.0f});
+    }
+    serving.staging_cube()->MergeFrom(
+        cube::RegionDayMeasure::FromAtypical(records, *world.regions, grid));
+  };
+  stage(0, history - 1);
+  serving.PublishSnapshot();
+  stage(history, history);
+  util::AllocProbe probe;
+  serving.PublishSnapshot();
+  return probe.Count();
+}
+
+TEST(PublishAllocTest, PublishAllocatesPerChangedDay) {
+  const std::unique_ptr<Workload> world =
+      MakeWorkload(WorkloadScale::kTiny, 29);
+  const uint64_t short_history = PublishAllocs(*world, 30);
+  const uint64_t long_history = PublishAllocs(*world, 300);
+  std::cout << "alloc_probe publish: 30 days=" << short_history
+            << " 300 days=" << long_history << "\n";
+  EXPECT_GE(long_history, short_history);
+  EXPECT_LE(long_history - short_history, kPublishAllocsPerStoredDay * 270);
+  // The one changed day is copied in either case.
+  EXPECT_GE(short_history, uint64_t{2 + 3 * kClustersPerDay});
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "core/forest.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -9,6 +11,25 @@
 
 namespace atypical {
 namespace {
+
+// Order-sensitive digest of a block of clusters: ids, lineage, record
+// counts and every feature entry's key and severity bits.
+uint64_t Digest(const std::vector<AtypicalCluster>& clusters) {
+  uint64_t h = 1469598103934665603ULL;
+  auto fold = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  for (const AtypicalCluster& c : clusters) {
+    fold(c.id);
+    for (ClusterId micro : c.micro_ids) fold(micro);
+    fold(static_cast<uint64_t>(c.num_records));
+    for (const FeatureVector* f : {&c.spatial, &c.temporal}) {
+      for (const FeatureVector::Entry& e : f->entries()) {
+        fold(e.key);
+        fold(std::bit_cast<uint64_t>(e.severity));
+      }
+    }
+  }
+  return h;
+}
 
 class ForestTest : public ::testing::Test {
  protected:
@@ -236,6 +257,88 @@ TEST_F(ForestTest, InstalledForestKeepsGeneratingFreshIds) {
   merged.micro_ids = {max_id + 10, max_id + 20};
   installed.InstallDay(100, {merged});
   EXPECT_GT(installed.ids()->Next(), max_id + 20);
+}
+
+// An epoch copy (what ServingForest::PublishSnapshot serves, DESIGN §16)
+// shares blocks between epochs; a late batch on the staging forest must
+// reach neither the published block nor the copy that shares it.
+TEST_F(ForestTest, LateBatchDoesNotReachPublishedEpoch) {
+  const TimeGrid& grid = workload_->gen_config.time_grid;
+  std::vector<AtypicalRecord> day3;
+  for (const AtypicalRecord& r : records_) {
+    if (grid.DayOfWindow(r.window) == 3) day3.push_back(r);
+  }
+  ASSERT_FALSE(day3.empty());
+  forest_.AddRecords(records_);
+  uint64_t copied = 0;
+  const AtypicalForest e1 = forest_.EpochCopy(nullptr, &copied);
+  EXPECT_EQ(copied, 7u);
+  const AtypicalForest e2 = forest_.EpochCopy(&e1, &copied);
+  EXPECT_EQ(copied, 7u);  // nothing changed: every day is shared
+  const std::vector<AtypicalCluster>& published = e2.MicrosOfDay(3);
+  EXPECT_EQ(&published, &e1.MicrosOfDay(3));
+  EXPECT_NE(&published, &forest_.MicrosOfDay(3));
+  const size_t count = published.size();
+  const ClusterId first_id = published.front().id;
+  const uint64_t digest = Digest(published);
+
+  forest_.AddDay(3, day3);
+  EXPECT_EQ(published.size(), count);
+  EXPECT_EQ(published.front().id, first_id);
+  EXPECT_EQ(Digest(published), digest);
+
+  const AtypicalForest e3 = forest_.EpochCopy(&e2, &copied);
+  EXPECT_EQ(copied, 8u);  // day 3 only
+  EXPECT_EQ(e3.MicrosOfDay(3).size(), forest_.MicrosOfDay(3).size());
+  EXPECT_EQ(e3.MicrosOfDay(3).size(), 2 * count);
+  EXPECT_EQ(Digest(e3.MicrosOfDay(3)), Digest(forest_.MicrosOfDay(3)));
+  EXPECT_EQ(&e3.MicrosOfDay(2), &e1.MicrosOfDay(2));
+}
+
+// The same for the materialized levels: re-materializing replaces the
+// staging levels, not the blocks an epoch serves.
+TEST_F(ForestTest, RematerializeDoesNotReachPublishedEpoch) {
+  const int month_days = workload_->gen_config.days_per_month;
+  forest_.AddRecords(records_);
+  forest_.MaterializeWeeks();
+  forest_.MaterializeMonths(month_days);
+  uint64_t copied = 0;
+  const AtypicalForest e1 = forest_.EpochCopy(nullptr, &copied);
+  EXPECT_EQ(copied, 7u + 1u + 1u);  // 7 days, week 0, month 0
+  const uint64_t week = Digest(e1.MacrosOfWeek(0));
+  const uint64_t month = Digest(e1.MacrosOfMonth(0));
+  const ClusterId week_first_id = e1.MacrosOfWeek(0).front().id;
+
+  // Re-materializing with no day mutation in between still mints new ids,
+  // so the next epoch must copy the levels again.
+  forest_.MaterializeWeeks();
+  forest_.MaterializeMonths(month_days);
+  EXPECT_EQ(Digest(e1.MacrosOfWeek(0)), week);
+  EXPECT_EQ(Digest(e1.MacrosOfMonth(0)), month);
+  EXPECT_EQ(e1.MacrosOfWeek(0).front().id, week_first_id);
+
+  const AtypicalForest e2 = forest_.EpochCopy(&e1, &copied);
+  EXPECT_EQ(copied, 9u + 2u);  // days shared, both levels copied
+  EXPECT_EQ(Digest(e2.MacrosOfWeek(0)), Digest(forest_.MacrosOfWeek(0)));
+  EXPECT_NE(Digest(e2.MacrosOfWeek(0)), week);
+  EXPECT_EQ(Digest(e2.MacrosOfMonth(0)), Digest(forest_.MacrosOfMonth(0)));
+  EXPECT_FALSE(e2.WeekIsStale(0));
+
+  const AtypicalForest e3 = forest_.EpochCopy(&e2, &copied);
+  EXPECT_EQ(copied, 11u);  // nothing changed
+  EXPECT_EQ(&e3.MacrosOfWeek(0), &e2.MacrosOfWeek(0));
+  EXPECT_EQ(&e3.MacrosOfMonth(0), &e2.MacrosOfMonth(0));
+
+  // Weeks alone, twice in a row with nothing else in between.
+  forest_.MaterializeWeeks();
+  const AtypicalForest e4 = forest_.EpochCopy(&e3, &copied);
+  forest_.MaterializeWeeks();
+  const AtypicalForest e5 = forest_.EpochCopy(&e4, &copied);
+  EXPECT_EQ(copied, 13u);  // the week level, twice
+  EXPECT_EQ(&e5.MacrosOfMonth(0), &e2.MacrosOfMonth(0));
+  EXPECT_NE(Digest(e4.MacrosOfWeek(0)), Digest(e3.MacrosOfWeek(0)));
+  EXPECT_NE(Digest(e5.MacrosOfWeek(0)), Digest(e4.MacrosOfWeek(0)));
+  EXPECT_EQ(Digest(e5.MacrosOfWeek(0)), Digest(forest_.MacrosOfWeek(0)));
 }
 
 TEST_F(ForestTest, DeathOnWrongDayRecords) {

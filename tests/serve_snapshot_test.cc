@@ -15,6 +15,7 @@
 
 #include "analytics/report.h"
 #include "core/query.h"
+#include "obs/stats.h"
 #include "cube/red_zone.h"
 #include "serve/snapshot.h"
 #include "serve_test_util.h"
@@ -210,6 +211,81 @@ TEST_F(ServeSnapshotTest, OldEpochKeepsItsMeasureWhenStagedDaysChange) {
   EXPECT_FALSE(cube::ComputeRedZones(*new_epoch->cube, regions, query.days,
                                      threshold)
                    .empty());
+}
+
+uint64_t DaysCopied() {
+  return obs::Registry()->GetCounter("serve.snapshot.days_copied")->value();
+}
+
+// A publish deep-copies only the days that changed since the previous
+// epoch; every other day's leaves are one block shared by both epochs.
+TEST_F(ServeSnapshotTest, UnchangedDaysAreSharedBetweenEpochs) {
+  auto serving = MakeServing(*ctx_, analytics::DefaultEngineOptions());
+  StageMonth(*ctx_, 0, serving.get());
+  const std::shared_ptr<const ForestSnapshot> e1 = serving->PublishSnapshot();
+
+  // Day 7's leaves, built apart from the staging forest, then installed.
+  AtypicalForest month1(&ctx_->network(), ctx_->time_grid(),
+                        ctx_->forest_params);
+  month1.AddRecords(ctx_->monthly_atypical[1]);
+  ASSERT_TRUE(month1.HasDay(7));
+  AtypicalForest* staging = serving->staging_forest();
+  staging->InstallDay(7, month1.MicrosOfDay(7));
+  const uint64_t copied_before = DaysCopied();
+  const std::shared_ptr<const ForestSnapshot> e2 = serving->PublishSnapshot();
+  EXPECT_EQ(DaysCopied(), copied_before + 1);
+
+  for (int day = 0; day < 7; ++day) {
+    EXPECT_EQ(&e1->forest->MicrosOfDay(day), &e2->forest->MicrosOfDay(day))
+        << "day " << day;
+    EXPECT_NE(&e2->forest->MicrosOfDay(day), &staging->MicrosOfDay(day))
+        << "day " << day;
+  }
+  EXPECT_FALSE(e1->forest->HasDay(7));
+  EXPECT_NE(&e2->forest->MicrosOfDay(7), &staging->MicrosOfDay(7));
+  EXPECT_EQ(e2->forest->MicrosOfDay(7).size(), staging->MicrosOfDay(7).size());
+  EXPECT_EQ(e2->forest->ByteSize(), staging->ByteSize());
+
+  const std::shared_ptr<const ForestSnapshot> e3 = serving->PublishSnapshot();
+  EXPECT_EQ(DaysCopied(), copied_before + 1);
+  EXPECT_EQ(&e3->forest->MicrosOfDay(7), &e2->forest->MicrosOfDay(7));
+}
+
+// Every region×day cell an epoch reads keeps its bits when the staging
+// measure merges into the same days, and the next epoch sees the sums.
+TEST_F(ServeSnapshotTest, MergeDoesNotReachPublishedMeasure) {
+  auto serving = MakeServing(*ctx_, analytics::DefaultEngineOptions());
+  const std::shared_ptr<const ForestSnapshot> old_epoch =
+      serving->PublishSnapshot();
+  const int regions = ctx_->regions().num_regions();
+  const int days = 2 * ctx_->days_per_month() + 1;
+  auto cells = [&](const cube::RegionDayMeasure& measure) {
+    std::vector<uint64_t> bits;
+    for (int day = 0; day < days; ++day) {
+      for (RegionId r = 0; r < static_cast<RegionId>(regions); ++r) {
+        bits.push_back(
+            std::bit_cast<uint64_t>(measure.RegionDaySeverity(r, day)));
+      }
+    }
+    return bits;
+  };
+  const std::vector<uint64_t> before = cells(*old_epoch->cube);
+  const uint64_t bytes_before = old_epoch->cube->ByteSize();
+  ASSERT_GT(bytes_before, 0u);
+
+  const cube::RegionDayMeasure month0 = cube::RegionDayMeasure::FromAtypical(
+      ctx_->monthly_atypical[0], ctx_->regions(), ctx_->time_grid());
+  cube::RegionDayMeasure expected = *old_epoch->cube;
+  expected.MergeFrom(month0);
+  serving->staging_cube()->MergeFrom(month0);
+
+  EXPECT_EQ(cells(*old_epoch->cube), before);
+  EXPECT_EQ(old_epoch->cube->ByteSize(), bytes_before);
+  const std::shared_ptr<const ForestSnapshot> new_epoch =
+      serving->PublishSnapshot();
+  EXPECT_EQ(cells(*new_epoch->cube), cells(expected));
+  EXPECT_NE(cells(*new_epoch->cube), before);
+  EXPECT_EQ(cells(*old_epoch->cube), before);
 }
 
 }  // namespace
