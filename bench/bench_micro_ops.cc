@@ -85,12 +85,11 @@ RetrievalFixture& Fixture() {
   return *fixture;
 }
 
-void BM_EventRetrievalIndexed(benchmark::State& state) {
+void BM_EventRetrieval(benchmark::State& state) {
   RetrievalFixture& f = Fixture();
   std::vector<AtypicalRecord> records = f.records;
   records.resize(std::min<size_t>(records.size(), state.range(0)));
-  RetrievalParams params = analytics::DefaultForestParams().retrieval;
-  params.use_index = true;
+  const RetrievalParams params = analytics::DefaultForestParams().retrieval;
   for (auto _ : state) {
     ClusterIdGenerator ids;
     benchmark::DoNotOptimize(
@@ -99,23 +98,7 @@ void BM_EventRetrievalIndexed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * records.size());
 }
-BENCHMARK(BM_EventRetrievalIndexed)->Arg(200)->Arg(500)->Arg(1000);
-
-void BM_EventRetrievalBruteForce(benchmark::State& state) {
-  RetrievalFixture& f = Fixture();
-  std::vector<AtypicalRecord> records = f.records;
-  records.resize(std::min<size_t>(records.size(), state.range(0)));
-  RetrievalParams params = analytics::DefaultForestParams().retrieval;
-  params.use_index = false;
-  for (auto _ : state) {
-    ClusterIdGenerator ids;
-    benchmark::DoNotOptimize(
-        RetrieveMicroClusters(records, *f.workload->sensors,
-                              f.workload->gen_config.time_grid, params, &ids));
-  }
-  state.SetItemsProcessed(state.iterations() * records.size());
-}
-BENCHMARK(BM_EventRetrievalBruteForce)->Arg(200)->Arg(500)->Arg(1000);
+BENCHMARK(BM_EventRetrieval)->Arg(200)->Arg(500)->Arg(1000);
 
 void BM_Integration(benchmark::State& state) {
   Rng rng(4);

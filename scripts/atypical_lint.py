@@ -38,8 +38,8 @@ Checks
                                hold must be registered by some src/ file,
                                so a deleted metric cannot linger there.
   AL009 unordered-iteration    no iteration over std::unordered_map/set in
-                               the deterministic modules (src/core, src/cube,
-                               src/index): hash-layout order leaks into ids,
+                               the deterministic modules (src/core and
+                               src/cube): hash-layout order leaks into ids,
                                output, or accumulation order.  Iterate a
                                sorted view, or carry `NOLINT(AL009): <proof
                                of order-independence>`.  Membership lookups
@@ -605,11 +605,11 @@ def check_headers_self_contained(compiler: str = "g++",
 # --- AL009–AL012 shared machinery: deterministic-module scope ----------------
 #
 # The bit-identical guarantees (streamed integration,
-# degradation equivalence) are carried by src/core, src/cube and src/index;
-# those directories are the "deterministic modules" the next four checks
+# degradation equivalence) are carried by src/core and src/cube; those
+# directories are the "deterministic modules" the next four checks
 # police.  Fixtures opt in so the self-test can exercise them.
 
-DETERMINISTIC_PREFIXES = ("src/core/", "src/cube/", "src/index/")
+DETERMINISTIC_PREFIXES = ("src/core/", "src/cube/")
 
 
 def _in_deterministic_scope(sf: SourceFile) -> bool:

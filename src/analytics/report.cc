@@ -10,7 +10,6 @@ ForestParams DefaultForestParams() {
   ForestParams params;
   params.retrieval.delta_d_miles = 1.5;
   params.retrieval.delta_t_minutes = 15;
-  params.retrieval.use_index = true;
   params.integration.delta_sim = 0.5;
   params.integration.g = BalanceFunction::kArithmeticMean;
   return params;

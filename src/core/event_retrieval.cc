@@ -1,11 +1,11 @@
 #include "core/event_retrieval.h"
 
 #include <algorithm>
-#include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
-#include "index/grid_index.h"
+#include "core/streaming.h"
 #include "obs/stats.h"
 #include "util/hash_perturb.h"
 #include "util/logging.h"
@@ -17,78 +17,42 @@ std::vector<std::vector<size_t>> RetrieveEvents(
     const std::vector<AtypicalRecord>& records, const SensorNetwork& network,
     const TimeGrid& grid, const RetrievalParams& params,
     RetrievalStats* stats) {
-  CHECK_GT(params.delta_d_miles, 0.0);
-  CHECK_GT(params.delta_t_minutes, 0);
   Stopwatch timer;
-
   std::vector<std::vector<size_t>> events;
-  std::vector<bool> visited(records.size(), false);
-  size_t neighbor_checks = 0;
-
-  // The index is only built when used; the unindexed path exists to realize
-  // (and measure) Proposition 1's O(N + n²) bound.
-  std::unique_ptr<index::GridIndex> grid_index;
-  if (params.use_index) {
-    grid_index = std::make_unique<index::GridIndex>(
-        records, network, grid, params.delta_d_miles, params.delta_t_minutes,
-        params.metric);
-  }
-
-  std::vector<size_t> frontier;
-  std::vector<size_t> neighbors;
-  for (size_t seed = 0; seed < records.size(); ++seed) {
-    if (visited[seed]) continue;
-    // Expand the seed into its maximal connected component (Def. 2/3).
-    std::vector<size_t> event;
-    visited[seed] = true;
-    frontier.assign(1, seed);
-    while (!frontier.empty()) {
-      const size_t current = frontier.back();
-      frontier.pop_back();
-      event.push_back(current);
-      neighbors.clear();
-      if (grid_index != nullptr) {
-        grid_index->DirectlyRelated(current, &neighbors);
-        neighbor_checks += neighbors.size();
-      } else {
-        const AtypicalRecord& r = records[current];
-        for (size_t j = 0; j < records.size(); ++j) {
-          if (j == current) continue;
-          ++neighbor_checks;
-          const AtypicalRecord& other = records[j];
-          if (grid.IntervalMinutes(r.window, other.window) >=
-              params.delta_t_minutes) {
-            continue;
-          }
-          if (network.Distance(r.sensor, other.sensor, params.metric) >=
-              params.delta_d_miles) {
-            continue;
-          }
-          neighbors.push_back(j);
-        }
-      }
-      for (size_t n : neighbors) {
-        if (!visited[n]) {
-          visited[n] = true;
-          frontier.push_back(n);
-        }
-      }
-    }
-    std::sort(event.begin(), event.end());
-    events.push_back(std::move(event));
-  }
+  EventJoiner joiner(network, grid, params,
+                     [&events](const std::vector<EventJoiner::Member>& event) {
+                       std::vector<size_t>& indices = events.emplace_back();
+                       indices.reserve(event.size());
+                       for (const EventJoiner::Member& member : event) {
+                         indices.push_back(member.seq);
+                       }
+                     });
+  // The joiner needs a window-ordered feed; seq = input index makes each
+  // event's index list come out ascending.
+  std::vector<size_t> order(records.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return records[a].window < records[b].window;
+  });
+  for (const size_t i : order) joiner.Add(records[i], i);
+  joiner.Flush();
+  std::sort(events.begin(), events.end(),
+            [](const std::vector<size_t>& a, const std::vector<size_t>& b) {
+              return a.front() < b.front();
+            });
+  const uint64_t neighbor_checks = joiner.neighbor_checks();
 
   static obs::Counter* const records_in =
       obs::Registry()->GetCounter("retrieval.records_in");
   static obs::Counter* const events_out =
       obs::Registry()->GetCounter("retrieval.events_out");
-  static obs::Counter* const index_probes =
-      obs::Registry()->GetCounter("retrieval.index_probes");
+  static obs::Counter* const checks =
+      obs::Registry()->GetCounter("retrieval.neighbor_checks");
   static obs::Histogram* const seconds =
       obs::Registry()->GetHistogram("retrieval.seconds");
   records_in->Add(records.size());
   events_out->Add(events.size());
-  index_probes->Add(neighbor_checks);
+  checks->Add(neighbor_checks);
   seconds->Record(timer.ElapsedSeconds());
 
   if (stats != nullptr) {

@@ -3,9 +3,11 @@
 //
 // An atypical event (Def. 3) is a maximal set of atypical records connected
 // by the *direct atypical related* relation (Def. 1: sensor distance < δd
-// and window interval < δt).  Events are found by seed expansion; with the
-// spatio-temporal grid index the retrieval is O(N + n·k) (Proposition 1's
-// indexed bound), without it O(N + n²).
+// and window interval < δt).  Batch retrieval orders the records by window
+// and streams them through the same joiner the streaming builder uses
+// (core/streaming.h): each record is joined with the open events of its
+// sensor's precomputed δd-neighbours, so retrieval is O(N + n log n)
+// (Proposition 1's indexed bound) and streamed ≡ batch by construction.
 #ifndef ATYPICAL_CORE_EVENT_RETRIEVAL_H_
 #define ATYPICAL_CORE_EVENT_RETRIEVAL_H_
 
@@ -20,20 +22,19 @@ namespace atypical {
 struct RetrievalParams {
   double delta_d_miles = 1.5;  // paper default
   int delta_t_minutes = 15;    // paper default
-  bool use_index = true;       // false = literal O(n²) neighbor scans
   DistanceMetric metric = DistanceMetric::kEuclidean;
 };
 
 struct RetrievalStats {
   size_t num_events = 0;
   size_t num_records = 0;
-  size_t neighbor_checks = 0;  // candidate pairs examined
+  size_t neighbor_checks = 0;  // sensor entries examined (EventJoiner)
   double seconds = 0.0;
 };
 
-// Partitions `records` into atypical events; each inner vector holds indices
-// into `records` (sorted ascending).  Events are ordered by their smallest
-// record index, so the output is deterministic.
+// Partitions `records` (in any order) into atypical events; each inner
+// vector holds indices into `records` (sorted ascending).  Events are
+// ordered by their smallest record index, so the output is deterministic.
 std::vector<std::vector<size_t>> RetrieveEvents(
     const std::vector<AtypicalRecord>& records, const SensorNetwork& network,
     const TimeGrid& grid, const RetrievalParams& params,

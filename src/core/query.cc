@@ -22,7 +22,7 @@ const char* QueryStrategyName(QueryStrategy strategy) {
 }
 
 QueryEngine::QueryEngine(const SensorNetwork* network,
-                         const SpatialPartition* regions,
+                         const RegionGrid* regions,
                          const AtypicalForest* forest,
                          const cube::RegionDayMeasure* measure,
                          const QueryEngineOptions& options)

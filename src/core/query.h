@@ -18,7 +18,7 @@
 #include "core/forest.h"
 #include "core/integration.h"
 #include "core/significance.h"
-#include "cps/spatial_partition.h"
+#include "cps/region_grid.h"
 #include "cube/measure.h"
 #include "cube/red_zone.h"
 #include "util/hot_path.h"
@@ -136,7 +136,7 @@ class QueryEngine {
   // The engine only ever reads the forest: queries draw result ids from a
   // query-local generator (kQueryMacroIdBase), so a const forest is enough
   // and concurrent Run() calls never race a writer through the engine.
-  QueryEngine(const SensorNetwork* network, const SpatialPartition* regions,
+  QueryEngine(const SensorNetwork* network, const RegionGrid* regions,
               const AtypicalForest* forest,
               const cube::RegionDayMeasure* measure,
               const QueryEngineOptions& options);
@@ -175,7 +175,7 @@ class QueryEngine {
       std::vector<AtypicalCluster>* inputs);
 
   const SensorNetwork* network_;
-  const SpatialPartition* regions_;
+  const RegionGrid* regions_;
   const AtypicalForest* forest_;
   const cube::RegionDayMeasure* measure_;
   QueryEngineOptions options_;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace atypical {
 
@@ -24,10 +23,6 @@ RegionGrid::RegionGrid(const SensorNetwork& network, double cell_miles) {
     region_of_sensor_[s.id] = r;
     sensors_in_region_[r].push_back(s.id);
   }
-}
-
-std::string RegionGrid::Name() const {
-  return StrPrintf("grid-%.1fmi", cell_miles_);
 }
 
 RegionId RegionGrid::RegionOfSensor(SensorId sensor) const {

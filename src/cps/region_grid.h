@@ -9,33 +9,30 @@
 #ifndef ATYPICAL_CPS_REGION_GRID_H_
 #define ATYPICAL_CPS_REGION_GRID_H_
 
-#include <string>
 #include <vector>
 
 #include "cps/sensor_network.h"
-#include "cps/spatial_partition.h"
 #include "cps/types.h"
 
 namespace atypical {
 
 // Uniform rectangular partition of the sensor deployment area.
-class RegionGrid : public SpatialPartition {
+class RegionGrid {
  public:
   // Partitions `network.bounds()` into cells of roughly `cell_miles` on a
   // side and assigns every sensor to its cell.
   RegionGrid(const SensorNetwork& network, double cell_miles);
 
-  int num_regions() const override { return cols_ * rows_; }
+  int num_regions() const { return cols_ * rows_; }
   int cols() const { return cols_; }
   int rows() const { return rows_; }
   double cell_miles() const { return cell_miles_; }
-  std::string Name() const override;
 
-  RegionId RegionOfSensor(SensorId sensor) const override;
+  RegionId RegionOfSensor(SensorId sensor) const;
   RegionId RegionOfPoint(const GeoPoint& p) const;
 
   // Sensors assigned to `region` (empty for regions with no sensors).
-  const std::vector<SensorId>& SensorsInRegion(RegionId region) const override;
+  const std::vector<SensorId>& SensorsInRegion(RegionId region) const;
 
   int SensorCount(RegionId region) const {
     return static_cast<int>(SensorsInRegion(region).size());
@@ -45,7 +42,7 @@ class RegionGrid : public SpatialPartition {
   GeoRect RegionRect(RegionId region) const;
 
   // Regions overlapping the given rectangle.
-  std::vector<RegionId> RegionsInRect(const GeoRect& rect) const override;
+  std::vector<RegionId> RegionsInRect(const GeoRect& rect) const;
 
  private:
   double origin_x_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "util/logging.h"
 
@@ -64,15 +65,6 @@ const std::vector<SensorId>& SensorNetwork::SensorsOnHighway(
   return by_highway_[highway];
 }
 
-std::vector<SensorId> SensorNetwork::SensorsNear(const GeoPoint& center,
-                                                 double radius_miles) const {
-  std::vector<SensorId> out;
-  for (const Sensor& s : sensors_) {
-    if (DistanceMiles(s.location, center) <= radius_miles) out.push_back(s.id);
-  }
-  return out;
-}
-
 double SensorNetwork::Distance(SensorId a, SensorId b,
                                DistanceMetric metric) const {
   const Sensor& sa = sensor(a);
@@ -101,6 +93,38 @@ void SensorNetwork::SensorsInRect(const GeoRect& rect,
   // output is sorted without an explicit sort.
   for (const Sensor& s : sensors_) {
     if (rect.Contains(s.location)) out->push_back(s.id);
+  }
+}
+
+SensorNeighbors::SensorNeighbors(const SensorNetwork& network,
+                                 double delta_d_miles, DistanceMetric metric) {
+  CHECK_GT(delta_d_miles, 0.0);
+  const int num_sensors = network.num_sensors();
+  std::vector<SensorId> by_x(num_sensors);
+  std::iota(by_x.begin(), by_x.end(), SensorId{0});
+  std::sort(by_x.begin(), by_x.end(), [&](SensorId a, SensorId b) {
+    return network.location(a).x < network.location(b).x;
+  });
+  // The band is widened by a hair so that rounding in a road distance (>=
+  // Euclidean only in exact arithmetic) can never drop a pair.
+  const double band = delta_d_miles + 1e-9;
+  std::vector<std::vector<SensorId>> rows(num_sensors);
+  for (size_t i = 0; i < by_x.size(); ++i) {
+    const double x = network.location(by_x[i]).x;
+    for (size_t j = i + 1; j < by_x.size(); ++j) {
+      if (network.location(by_x[j]).x - x > band) break;
+      if (network.Distance(by_x[i], by_x[j], metric) < delta_d_miles) {
+        rows[by_x[i]].push_back(by_x[j]);
+        rows[by_x[j]].push_back(by_x[i]);
+      }
+    }
+  }
+  offsets_.reserve(num_sensors + 1);
+  offsets_.push_back(0);
+  for (std::vector<SensorId>& row : rows) {
+    std::sort(row.begin(), row.end());
+    neighbors_.insert(neighbors_.end(), row.begin(), row.end());
+    offsets_.push_back(static_cast<uint32_t>(neighbors_.size()));
   }
 }
 

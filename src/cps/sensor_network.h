@@ -7,6 +7,7 @@
 #ifndef ATYPICAL_CPS_SENSOR_NETWORK_H_
 #define ATYPICAL_CPS_SENSOR_NETWORK_H_
 
+#include <span>
 #include <vector>
 
 #include "cps/road_network.h"
@@ -65,11 +66,6 @@ class SensorNetwork {
   // Sensors on the given highway ordered by mile post.
   const std::vector<SensorId>& SensorsOnHighway(HighwayId highway) const;
 
-  // All sensors within `radius_miles` of `center` (linear scan; the hot path
-  // uses index::GridIndex instead).
-  std::vector<SensorId> SensorsNear(const GeoPoint& center,
-                                    double radius_miles) const;
-
   // All sensors inside the rectangle (query region W).
   std::vector<SensorId> SensorsInRect(const GeoRect& rect) const;
 
@@ -82,7 +78,7 @@ class SensorNetwork {
   // Distance between two sensors under `metric`.  Road-network distance
   // across different highways is +infinity (HUGE_VAL) — it always exceeds
   // any δd.  Note road distance >= Euclidean distance, so Euclidean-based
-  // index pruning stays safe for both metrics.
+  // pruning stays exact for both metrics.
   double Distance(SensorId a, SensorId b, DistanceMetric metric) const;
 
  private:
@@ -90,6 +86,27 @@ class SensorNetwork {
   std::vector<std::vector<SensorId>> by_highway_;
   double spacing_miles_ = 0.0;
   GeoRect bounds_;
+};
+
+// The spatial half of Def. 1 on a fixed deployment: for every sensor s, the
+// sensors t != s with Distance(s, t, metric) < δd, ascending by id, in one
+// CSR.  Sensors never move, so this is the whole spatial index Algorithm 1
+// needs; it is built in O(S log S + S·k) by sorting sensors by x and
+// filtering a δd-wide band, which is exact for both metrics because road
+// distance >= Euclidean distance >= |Δx|.
+class SensorNeighbors {
+ public:
+  SensorNeighbors(const SensorNetwork& network, double delta_d_miles,
+                  DistanceMetric metric);
+
+  std::span<const SensorId> Of(SensorId sensor) const {
+    return {neighbors_.data() + offsets_[sensor],
+            neighbors_.data() + offsets_[sensor + 1]};
+  }
+
+ private:
+  std::vector<uint32_t> offsets_;  // num_sensors + 1 row starts
+  std::vector<SensorId> neighbors_;
 };
 
 }  // namespace atypical

@@ -8,7 +8,7 @@ namespace atypical {
 namespace cube {
 
 void CubeView::AddAtypical(const AtypicalRecord& r,
-                           const SpatialPartition& regions,
+                           const RegionGrid& regions,
                            const TimeGrid& grid) {
   const RegionId region = regions.RegionOfSensor(r.sensor);
   const int day = grid.DayOfWindow(r.window);
@@ -26,7 +26,7 @@ void CubeView::AddAtypical(const AtypicalRecord& r,
 }
 
 CubeView CubeView::FromReadings(const Dataset& dataset,
-                                const SpatialPartition& regions) {
+                                const RegionGrid& regions) {
   Stopwatch timer;
   CubeView cube;
   for (LevelMap& level : cube.levels_) {
@@ -57,7 +57,7 @@ CubeView CubeView::FromReadings(const Dataset& dataset,
 }
 
 CubeView CubeView::FromAtypical(
-    const std::vector<AtypicalRecord>& records, const SpatialPartition& regions,
+    const std::vector<AtypicalRecord>& records, const RegionGrid& regions,
     const TimeGrid& grid) {
   Stopwatch timer;
   CubeView cube;

@@ -20,7 +20,7 @@
 
 #include "cps/dataset.h"
 #include "cps/record.h"
-#include "cps/spatial_partition.h"
+#include "cps/region_grid.h"
 #include "cube/hierarchy.h"
 #include "cube/measure.h"
 
@@ -45,11 +45,11 @@ class CubeView {
  public:
   // OC: aggregates every reading of `dataset` into the cube.
   static CubeView FromReadings(const Dataset& dataset,
-                               const SpatialPartition& regions);
+                               const RegionGrid& regions);
 
   // MC: aggregates only atypical records.
   static CubeView FromAtypical(const std::vector<AtypicalRecord>& records,
-                               const SpatialPartition& regions,
+                               const RegionGrid& regions,
                                const TimeGrid& grid);
 
   CubeView() = default;
@@ -70,7 +70,7 @@ class CubeView {
            static_cast<uint64_t>(time & 0x3ffffffffLL);
   }
 
-  void AddAtypical(const AtypicalRecord& r, const SpatialPartition& regions,
+  void AddAtypical(const AtypicalRecord& r, const RegionGrid& regions,
                    const TimeGrid& grid);
 
   using LevelMap = std::unordered_map<uint64_t, CubeCell>;

@@ -6,7 +6,7 @@ namespace atypical {
 namespace cube {
 
 RegionDayMeasure RegionDayMeasure::FromAtypical(
-    const std::vector<AtypicalRecord>& records, const SpatialPartition& regions,
+    const std::vector<AtypicalRecord>& records, const RegionGrid& regions,
     const TimeGrid& grid) {
   std::vector<std::vector<double>> rows;
   const size_t num_regions = static_cast<size_t>(regions.num_regions());

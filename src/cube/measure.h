@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "cps/record.h"
-#include "cps/spatial_partition.h"
+#include "cps/region_grid.h"
 #include "cps/types.h"
 
 namespace atypical {
@@ -35,7 +35,7 @@ class RegionDayMeasure {
   // sized to `regions.num_regions()`.
   static RegionDayMeasure FromAtypical(
       const std::vector<AtypicalRecord>& records,
-      const SpatialPartition& regions, const TimeGrid& grid);
+      const RegionGrid& regions, const TimeGrid& grid);
 
   RegionDayMeasure() = default;
 

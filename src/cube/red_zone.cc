@@ -27,7 +27,7 @@ std::vector<RegionId> ComputeRedZones(const RegionDayMeasure& measure,
 
 std::vector<AtypicalCluster> FilterByRedZones(
     std::vector<AtypicalCluster> clusters,
-    const std::vector<RegionId>& red_zones, const SpatialPartition& regions,
+    const std::vector<RegionId>& red_zones, const RegionGrid& regions,
     RedZoneFilterMode mode) {
   DCHECK(std::is_sorted(red_zones.begin(), red_zones.end()));
   std::erase_if(clusters, [&](const AtypicalCluster& cluster) {

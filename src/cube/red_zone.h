@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/cluster.h"
-#include "cps/spatial_partition.h"
+#include "cps/region_grid.h"
 #include "cube/measure.h"
 #include "util/hot_path.h"
 
@@ -44,7 +44,7 @@ enum class RedZoneFilterMode : uint8_t {
 // severities stay exact.
 ATYPICAL_HOT std::vector<AtypicalCluster> FilterByRedZones(
     std::vector<AtypicalCluster> clusters,
-    const std::vector<RegionId>& red_zones, const SpatialPartition& regions,
+    const std::vector<RegionId>& red_zones, const RegionGrid& regions,
     RedZoneFilterMode mode = RedZoneFilterMode::kKeepIntersecting);
 
 }  // namespace cube

@@ -1,6 +1,7 @@
 #include "ext/corroboration_filter.h"
 
-#include "index/grid_index.h"
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace atypical {
@@ -11,18 +12,41 @@ std::vector<AtypicalRecord> FilterTrustworthy(
     const TimeGrid& grid, const CorroborationParams& params,
     CorroborationStats* stats) {
   CHECK_GE(params.min_corroborators, 0);
+  CHECK_GT(params.delta_t_minutes, 0);
+  const SensorNeighbors near(network, params.delta_d_miles,
+                             DistanceMetric::kEuclidean);
+  // Each sensor's record windows, ascending.
+  std::vector<std::vector<WindowId>> windows(network.num_sensors());
+  for (const AtypicalRecord& r : records) {
+    CHECK_LT(static_cast<size_t>(r.sensor), windows.size());
+    windows[r.sensor].push_back(r.window);
+  }
+  for (std::vector<WindowId>& w : windows) std::sort(w.begin(), w.end());
+
+  // Records at `sensor` whose window interval to `window` is < δt: a
+  // contiguous run, since the interval grows with the window distance.
+  const auto count_near = [&](SensorId sensor, WindowId window) {
+    const std::vector<WindowId>& w = windows[sensor];
+    const auto far = [&](WindowId other) {
+      return grid.IntervalMinutes(other, window) >= params.delta_t_minutes;
+    };
+    const auto lo = std::partition_point(
+        w.begin(), w.end(),
+        [&](WindowId other) { return other < window && far(other); });
+    const auto hi = std::partition_point(
+        lo, w.end(),
+        [&](WindowId other) { return other <= window || !far(other); });
+    return static_cast<int64_t>(hi - lo);
+  };
+
   std::vector<AtypicalRecord> kept;
   kept.reserve(records.size());
-
-  const index::GridIndex idx(records, network, grid, params.delta_d_miles,
-                             params.delta_t_minutes);
-  std::vector<size_t> neighbors;
-  for (size_t i = 0; i < records.size(); ++i) {
-    neighbors.clear();
-    idx.DirectlyRelated(i, &neighbors);
-    if (static_cast<int>(neighbors.size()) >= params.min_corroborators) {
-      kept.push_back(records[i]);
+  for (const AtypicalRecord& r : records) {
+    int64_t corroborators = count_near(r.sensor, r.window) - 1;  // not itself
+    for (const SensorId neighbor : near.Of(r.sensor)) {
+      corroborators += count_near(neighbor, r.window);
     }
+    if (corroborators >= params.min_corroborators) kept.push_back(r);
   }
 
   if (stats != nullptr) {

@@ -5,6 +5,8 @@
 // corroboration-based stand-in: an atypical record is kept only if at least
 // `min_corroborators` other atypical records fall within the (δd, δt)
 // neighborhood — isolated one-off readings are treated as sensor noise.
+// Corroborators are counted over the same `SensorNeighbors` lists Algorithm
+// 1 joins through (Euclidean δd).
 #ifndef ATYPICAL_EXT_CORROBORATION_FILTER_H_
 #define ATYPICAL_EXT_CORROBORATION_FILTER_H_
 

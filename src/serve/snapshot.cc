@@ -35,7 +35,7 @@ uint64_t SnapshotStore::current_epoch() const {
 }
 
 ServingForest::ServingForest(const SensorNetwork* network,
-                             const SpatialPartition* regions,
+                             const RegionGrid* regions,
                              const TimeGrid& grid, const ForestParams& params,
                              const QueryEngineOptions& options)
     : network_(network),

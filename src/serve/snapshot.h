@@ -43,7 +43,7 @@ namespace serve {
 // query-local id generator keeps results deterministic per epoch).
 struct ForestSnapshot {
   ForestSnapshot(uint64_t epoch_in, const SensorNetwork* network,
-                 const SpatialPartition* regions,
+                 const RegionGrid* regions,
                  std::shared_ptr<const AtypicalForest> forest_in,
                  std::shared_ptr<const cube::RegionDayMeasure> cube_in,
                  const QueryEngineOptions& options)
@@ -90,7 +90,7 @@ class SnapshotStore {
 // day's records — only the publish itself synchronizes.
 class ServingForest {
  public:
-  ServingForest(const SensorNetwork* network, const SpatialPartition* regions,
+  ServingForest(const SensorNetwork* network, const RegionGrid* regions,
                 const TimeGrid& grid, const ForestParams& params,
                 const QueryEngineOptions& options);
 
@@ -113,7 +113,7 @@ class ServingForest {
 
  private:
   const SensorNetwork* network_;
-  const SpatialPartition* regions_;
+  const RegionGrid* regions_;
   QueryEngineOptions options_;
   AtypicalForest staging_;
   cube::RegionDayMeasure cube_;

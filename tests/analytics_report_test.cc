@@ -11,7 +11,6 @@ TEST(DefaultParamsTest, MatchPaperDefaults) {
   const ForestParams forest = DefaultForestParams();
   EXPECT_DOUBLE_EQ(forest.retrieval.delta_d_miles, 1.5);
   EXPECT_EQ(forest.retrieval.delta_t_minutes, 15);
-  EXPECT_TRUE(forest.retrieval.use_index);
   EXPECT_DOUBLE_EQ(forest.integration.delta_sim, 0.5);
   EXPECT_TRUE(forest.integration.g == BalanceFunction::kArithmeticMean);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/workload.h"
+#include "retrieval_reference.h"
 #include "util/random.h"
 
 namespace atypical {
@@ -213,30 +214,45 @@ TEST_F(EventRetrievalTest, EventsAreMaximal) {
   }
 }
 
-TEST_F(EventRetrievalTest, IndexedAndUnindexedAgree) {
-  // Proposition 1: the index is a pure accelerator; results are identical.
+TEST_F(EventRetrievalTest, MatchesReferenceOnGeneratedMonth) {
   const std::vector<AtypicalRecord> records =
       workload_->generator->GenerateMonthAtypical(1);
-  RetrievalParams with_index = params_;
-  with_index.use_index = true;
-  RetrievalParams without_index = params_;
-  without_index.use_index = false;
-  const auto a = RetrieveEvents(records, network(), grid_, with_index);
-  const auto b = RetrieveEvents(records, network(), grid_, without_index);
-  EXPECT_EQ(a, b);
+  for (const DistanceMetric metric :
+       {DistanceMetric::kEuclidean, DistanceMetric::kRoadNetwork}) {
+    RetrievalParams params = params_;
+    params.metric = metric;
+    EXPECT_EQ(RetrieveEvents(records, network(), grid_, params),
+              reference::RetrieveEvents(records, network(), grid_, params))
+        << DistanceMetricName(metric);
+  }
 }
 
-TEST_F(EventRetrievalTest, IndexCutsNeighborChecks) {
+TEST_F(EventRetrievalTest, ShuffledMultiDayInputMatchesReference) {
+  // Batch input need not be window-ordered: the index lists and their order
+  // depend only on the input positions.  A month spans many days.
+  std::vector<AtypicalRecord> records =
+      workload_->generator->GenerateMonthAtypical(0);
+  ASSERT_GT(grid_.DayOfWindow(records.back().window),
+            grid_.DayOfWindow(records.front().window) + 2);
+  Rng rng(5);
+  for (size_t i = records.size(); i > 1; --i) {
+    std::swap(records[i - 1], records[rng.UniformInt(uint64_t{i})]);
+  }
+  const auto events = RetrieveEvents(records, network(), grid_, params_);
+  EXPECT_EQ(events,
+            reference::RetrieveEvents(records, network(), grid_, params_));
+  EXPECT_GT(events.size(), 1u);
+}
+
+TEST_F(EventRetrievalTest, NeighborChecksFarBelowReferencePairs) {
   const std::vector<AtypicalRecord> records =
       workload_->generator->GenerateMonthAtypical(0);
-  RetrievalStats indexed_stats;
-  RetrievalStats brute_stats;
-  RetrievalParams p = params_;
-  p.use_index = true;
-  RetrieveEvents(records, network(), grid_, p, &indexed_stats);
-  p.use_index = false;
-  RetrieveEvents(records, network(), grid_, p, &brute_stats);
-  EXPECT_LT(indexed_stats.neighbor_checks, brute_stats.neighbor_checks / 10);
+  RetrievalStats stats;
+  size_t reference_checks = 0;
+  RetrieveEvents(records, network(), grid_, params_, &stats);
+  reference::RetrieveEvents(records, network(), grid_, params_,
+                            &reference_checks);
+  EXPECT_LT(stats.neighbor_checks, reference_checks / 10);
 }
 
 TEST_F(EventRetrievalTest, StatsArePopulated) {

@@ -9,7 +9,7 @@
 #include "core/temporal_key.h"
 #include "gen/workload.h"
 #include "core/merge.h"
-#include "index/grid_index.h"
+#include "retrieval_reference.h"
 
 namespace atypical {
 namespace {
@@ -97,14 +97,12 @@ TEST_F(PipelinePropertyTest, RoadMetricYieldsAtLeastAsManyEvents) {
   EXPECT_GE(events_road.size(), events_euclid.size());
 }
 
-TEST_F(PipelinePropertyTest, IndexedRoadMetricMatchesBruteForce) {
-  RetrievalParams indexed = analytics::DefaultForestParams().retrieval;
-  indexed.metric = DistanceMetric::kRoadNetwork;
-  indexed.use_index = true;
-  RetrievalParams brute = indexed;
-  brute.use_index = false;
-  EXPECT_EQ(RetrieveEvents(records_, *workload_->sensors, grid_, indexed),
-            RetrieveEvents(records_, *workload_->sensors, grid_, brute));
+TEST_F(PipelinePropertyTest, RoadMetricMatchesReference) {
+  RetrievalParams road = analytics::DefaultForestParams().retrieval;
+  road.metric = DistanceMetric::kRoadNetwork;
+  EXPECT_EQ(
+      RetrieveEvents(records_, *workload_->sensors, grid_, road),
+      reference::RetrieveEvents(records_, *workload_->sensors, grid_, road));
 }
 
 TEST_F(PipelinePropertyTest, SensorDistanceProperties) {

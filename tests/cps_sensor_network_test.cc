@@ -1,5 +1,9 @@
 #include "cps/sensor_network.h"
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace atypical {
@@ -89,18 +93,49 @@ TEST(SensorNetworkTest, SpacingIsRoughlyUniform) {
   }
 }
 
-TEST(SensorNetworkTest, SensorsNearMatchesBruteForce) {
+// SensorNeighbors must list exactly the sensors t != s with
+// Distance(s, t) < δd, ascending — checked against all pairs.
+void ExpectNeighborsMatchAllPairs(const SensorNetwork& net, double delta_d,
+                                  DistanceMetric metric) {
+  const SensorNeighbors neighbors(net, delta_d, metric);
+  for (SensorId s = 0; s < static_cast<SensorId>(net.num_sensors()); ++s) {
+    std::vector<SensorId> expected;
+    for (SensorId t = 0; t < static_cast<SensorId>(net.num_sensors()); ++t) {
+      if (t != s && net.Distance(s, t, metric) < delta_d) expected.push_back(t);
+    }
+    const std::span<const SensorId> listed = neighbors.Of(s);
+    EXPECT_EQ(std::vector<SensorId>(listed.begin(), listed.end()), expected)
+        << DistanceMetricName(metric) << " δd=" << delta_d << " sensor " << s;
+  }
+}
+
+TEST(SensorNeighborsTest, MatchesAllPairsDistance) {
   const RoadNetwork roads = MakeRoads();
   const SensorNetwork net = MakeSensors(roads);
-  const GeoPoint center{10.0, 7.5};
-  const double radius = 3.0;
-  const std::vector<SensorId> near = net.SensorsNear(center, radius);
-  for (const Sensor& s : net.sensors()) {
-    const bool in_radius = DistanceMiles(s.location, center) <= radius;
-    const bool listed =
-        std::find(near.begin(), near.end(), s.id) != near.end();
-    EXPECT_EQ(in_radius, listed) << "sensor " << s.id;
+  ASSERT_GE(net.SensorsOnHighway(0).size(), 2u);
+  const SensorId a = net.SensorsOnHighway(0)[0];
+  const SensorId b = net.SensorsOnHighway(0)[1];
+  for (const DistanceMetric metric :
+       {DistanceMetric::kEuclidean, DistanceMetric::kRoadNetwork}) {
+    // Exactly a pair's distance and exactly the nominal spacing put sensor
+    // pairs on the strict `<` boundary.
+    const double exact_pair = net.Distance(a, b, metric);
+    for (const double delta_d : {0.3, net.spacing_miles(), exact_pair, 1.5,
+                                 4.0, 40.0}) {
+      ExpectNeighborsMatchAllPairs(net, delta_d, metric);
+    }
+    const SensorNeighbors at_pair(net, exact_pair, metric);
+    const std::span<const SensorId> of_a = at_pair.Of(a);
+    EXPECT_EQ(std::count(of_a.begin(), of_a.end(), b), 0)
+        << DistanceMetricName(metric) << ": a pair at exactly δd is unrelated";
   }
+}
+
+TEST(SensorNeighborsDeathTest, RejectsNonPositiveDeltaD) {
+  const RoadNetwork roads = MakeRoads();
+  const SensorNetwork net = MakeSensors(roads);
+  EXPECT_DEATH(SensorNeighbors(net, 0.0, DistanceMetric::kEuclidean),
+               "Check failed");
 }
 
 TEST(SensorNetworkTest, SensorsInRectMatchesBruteForce) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "gen/workload.h"
+#include "retrieval_reference.h"
+#include "util/random.h"
 
 namespace atypical {
 namespace ext {
@@ -91,6 +93,40 @@ TEST_F(CorroborationTest, OrderPreserved) {
     while (pos < records.size() && !(records[pos] == k)) ++pos;
     ASSERT_LT(pos, records.size());
     ++pos;
+  }
+}
+
+TEST_F(CorroborationTest, KeptSetMatchesReferenceCounts) {
+  // Shuffled, so the per-sensor window runs cannot lean on input order.
+  std::vector<AtypicalRecord> records =
+      workload_->generator->GenerateMonthAtypical(0);
+  Rng rng(9);
+  for (size_t i = records.size(); i > 1; --i) {
+    std::swap(records[i - 1], records[rng.UniformInt(uint64_t{i})]);
+  }
+  for (const auto& [delta_d, delta_t] :
+       {std::pair{1.5, 15}, std::pair{0.8, 30}, std::pair{3.0, 45}}) {
+    RetrievalParams relation;
+    relation.delta_d_miles = delta_d;
+    relation.delta_t_minutes = delta_t;
+    const std::vector<size_t> counts = reference::RelatedCounts(
+        records, *workload_->sensors, grid_, relation);
+    for (const int min_corroborators : {0, 1, 3, 6}) {
+      CorroborationParams params;
+      params.delta_d_miles = delta_d;
+      params.delta_t_minutes = delta_t;
+      params.min_corroborators = min_corroborators;
+      std::vector<AtypicalRecord> expected;
+      for (size_t i = 0; i < records.size(); ++i) {
+        if (counts[i] >= static_cast<size_t>(min_corroborators)) {
+          expected.push_back(records[i]);
+        }
+      }
+      EXPECT_EQ(FilterTrustworthy(records, *workload_->sensors, grid_, params),
+                expected)
+          << "δd=" << delta_d << " δt=" << delta_t
+          << " min=" << min_corroborators;
+    }
   }
 }
 

@@ -47,7 +47,7 @@ analytics::ExperimentContext* ServeSnapshotTest::ctx_ = nullptr;
 // demanded a mutable AtypicalForest* and made snapshot serving impossible.
 static_assert(
     std::is_constructible_v<QueryEngine, const SensorNetwork*,
-                            const SpatialPartition*, const AtypicalForest*,
+                            const RegionGrid*, const AtypicalForest*,
                             const cube::RegionDayMeasure*,
                             const QueryEngineOptions&>,
     "QueryEngine must be constructible over a const forest");
