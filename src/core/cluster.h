@@ -41,6 +41,9 @@ class FeatureVector {
   // sorted lazily (Compact() runs on first read after writes).
   void Add(uint32_t key, double severity);
 
+  // Capacity for `n` entries, so the next `n` Add() calls do not regrow.
+  void Reserve(size_t n) { entries_.reserve(n); }
+
   // Number of distinct keys.
   size_t size() const;
   bool empty() const { return size() == 0; }

@@ -103,17 +103,11 @@ const std::vector<AtypicalCluster>& AtypicalForest::MicrosOfDay(int day) const {
 std::vector<const AtypicalCluster*> AtypicalForest::MicrosInRange(
     const DayRange& range) const {
   std::vector<const AtypicalCluster*> out;
-  MicrosInRange(range, &out);
-  return out;
-}
-
-void AtypicalForest::MicrosInRange(
-    const DayRange& range, std::vector<const AtypicalCluster*>* out) const {
-  out->clear();
   for (auto it = days_.lower_bound(range.first_day);
        it != days_.end() && it->first <= range.last_day; ++it) {
-    for (const AtypicalCluster& c : *it->second.micros) out->push_back(&c);
+    for (const AtypicalCluster& c : *it->second.micros) out.push_back(&c);
   }
+  return out;
 }
 
 std::map<ClusterId, double> AtypicalForest::MicroSeverities(

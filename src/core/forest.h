@@ -78,11 +78,6 @@ class AtypicalForest {
   // Leaf micro-clusters whose day falls in `range` (ascending day order).
   std::vector<const AtypicalCluster*> MicrosInRange(const DayRange& range) const;
 
-  // Same, into a caller-owned buffer (cleared first) so repeated queries
-  // reuse its capacity (DESIGN §15).
-  ATYPICAL_HOT void MicrosInRange(const DayRange& range,
-                                  std::vector<const AtypicalCluster*>* out) const;
-
   // Micro-cluster severities by id over `range` (evaluation support).
   std::map<ClusterId, double> MicroSeverities(const DayRange& range) const;
 
@@ -108,7 +103,7 @@ class AtypicalForest {
   // InstallDay) and every materialization, which stamps its level with the
   // new version.  A materialized level whose covered days mutated afterwards
   // is thus detectable as stale — the query planner must not serve its
-  // macros (CollectPlannedInputs skips them and counts
+  // macros (QueryEngine skips them and counts
   // query.stale_materialized_skipped).  Cube changes and
   // RecordDayProvenance() leave the version alone, so it is no "anything
   // changed since publish" signal.

@@ -37,43 +37,13 @@ QueryEngine::QueryEngine(const SensorNetwork* network,
   CHECK(measure != nullptr);
 }
 
-namespace {
-
-// Membership in the (sorted) sensors-of-W set.  Binary search over the
-// caller's reused buffer keeps the hot path free of per-query hash sets.
-bool TouchesArea(const AtypicalCluster& c,
-                 const std::vector<SensorId>& sorted_in_w) {
-  for (const FeatureVector::Entry& e : c.spatial.entries()) {
-    if (std::binary_search(sorted_in_w.begin(), sorted_in_w.end(), e.key)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-void QueryEngine::FilterToArea(const std::vector<SensorId>& sensors_in_w,
-                               std::vector<AtypicalCluster>* inputs) {
-  std::erase_if(*inputs, [&](const AtypicalCluster& c) {
-    return !TouchesArea(c, sensors_in_w);
-  });
-}
-
-std::vector<AtypicalCluster> QueryEngine::CollectPlannedInputs(
-    const AnalyticalQuery& query, const std::vector<SensorId>& sensors_in_w,
-    QueryCost* cost) const {
-  const DayRange& range = query.days;
-  // Empty or inverted range: nothing to plan, and the cost stays zero.
-  // Run() short-circuits before getting here; the guard keeps the method's
-  // own contract safe for direct callers.
-  if (range.NumDays() <= 0) return {};
-  std::vector<bool> covered(static_cast<size_t>(range.NumDays()), false);
-  auto cover = [&](int first, int last) {
-    for (int day = first; day <= last; ++day) {
-      covered[day - range.first_day] = true;
-    }
-  };
+void QueryEngine::CollectCandidates(const DayRange& range, bool planned,
+                                    QueryScratch* scratch,
+                                    QueryCost* cost) const {
+  std::vector<const AtypicalCluster*>& candidates = scratch->candidates;
+  candidates.clear();
+  std::vector<uint8_t>& covered = scratch->covered_days;
+  covered.assign(static_cast<size_t>(std::max(0, range.NumDays())), 0);
   auto all_uncovered = [&](int first, int last) {
     if (first < range.first_day || last > range.last_day) return false;
     for (int day = first; day <= last; ++day) {
@@ -81,73 +51,50 @@ std::vector<AtypicalCluster> QueryEngine::CollectPlannedInputs(
     }
     return true;
   };
+  auto add_level = [&](int first, int last,
+                       const std::vector<AtypicalCluster>& macros) {
+    for (const AtypicalCluster& c : macros) candidates.push_back(&c);
+    for (int day = first; day <= last; ++day) {
+      covered[day - range.first_day] = 1;
+    }
+    cost->materialized_inputs += macros.size();
+    cost->days_from_materialized += last - first + 1;
+  };
 
-  std::vector<AtypicalCluster> inputs;
   // Months first (largest pre-integrated units), then weeks.  A level whose
   // covered days mutated after it was built (late AddRecords batch) would
   // serve stale macros; the forest's versioning detects that, the planner
   // skips the level, and the days fall through to the leaf loop below.
-  if (forest_->month_days() > 0) {
+  if (planned) {
+    const int month_days = forest_->month_days();
     for (int month : forest_->MaterializedMonths()) {
-      const int first = month * forest_->month_days();
-      const int last = first + forest_->month_days() - 1;
+      const int first = month * month_days;
+      const int last = first + month_days - 1;
       if (!all_uncovered(first, last)) continue;
       if (forest_->MonthIsStale(month)) {
         ++cost->stale_materialized_skipped;
         continue;
       }
-      for (const AtypicalCluster& c : forest_->MacrosOfMonth(month)) {
-        inputs.push_back(c);
+      add_level(first, last, forest_->MacrosOfMonth(month));
+    }
+    for (int week : forest_->MaterializedWeeks()) {
+      const int first = week * 7;
+      const int last = first + 6;
+      if (!all_uncovered(first, last)) continue;
+      if (forest_->WeekIsStale(week)) {
+        ++cost->stale_materialized_skipped;
+        continue;
       }
-      cover(first, last);
-      cost->materialized_inputs += forest_->MacrosOfMonth(month).size();
-      cost->days_from_materialized += last - first + 1;
+      add_level(first, last, forest_->MacrosOfWeek(week));
     }
-  }
-  for (int week : forest_->MaterializedWeeks()) {
-    const int first = week * 7;
-    const int last = first + 6;
-    if (!all_uncovered(first, last)) continue;
-    if (forest_->WeekIsStale(week)) {
-      ++cost->stale_materialized_skipped;
-      continue;
-    }
-    for (const AtypicalCluster& c : forest_->MacrosOfWeek(week)) {
-      inputs.push_back(c);
-    }
-    cover(first, last);
-    cost->materialized_inputs += forest_->MacrosOfWeek(week).size();
-    cost->days_from_materialized += 7;
   }
   // Leaf days for the remainder.
   for (int day = range.first_day; day <= range.last_day; ++day) {
     if (covered[day - range.first_day] || !forest_->HasDay(day)) continue;
-    for (const AtypicalCluster& micro : forest_->MicrosOfDay(day)) {
-      ++cost->micro_clusters_in_range;
-      inputs.push_back(WithTemporalKeyMode(micro, forest_->time_grid(),
-                                           TemporalKeyMode::kTimeOfDay));
-    }
+    const std::vector<AtypicalCluster>& micros = forest_->MicrosOfDay(day);
+    for (const AtypicalCluster& micro : micros) candidates.push_back(&micro);
+    cost->micro_clusters_in_range += micros.size();
   }
-  FilterToArea(sensors_in_w, &inputs);
-  return inputs;
-}
-
-std::vector<AtypicalCluster> QueryEngine::CollectMicros(
-    const AnalyticalQuery& query, QueryScratch* scratch,
-    QueryCost* cost) const {
-  forest_->MicrosInRange(query.days, &scratch->micros_in_range);
-  std::vector<AtypicalCluster> micros;
-  for (const AtypicalCluster* micro : scratch->micros_in_range) {
-    ++cost->micro_clusters_in_range;
-    // A micro-cluster belongs to the query if it touches W at all; events
-    // straddling the boundary keep their full features (their severity must
-    // stay exact for Def. 5 to be meaningful).
-    if (TouchesArea(*micro, scratch->sensors_in_w)) {
-      micros.push_back(WithTemporalKeyMode(*micro, forest_->time_grid(),
-                                           TemporalKeyMode::kTimeOfDay));
-    }
-  }
-  return micros;
 }
 
 QueryResult QueryEngine::Run(const AnalyticalQuery& query,
@@ -171,10 +118,8 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
     empty_range->Add(1);
     return result;
   }
-  std::vector<SensorId>& in_w = scratch->sensors_in_w;
-  network_->SensorsInRect(query.area, &in_w);
-  DCHECK(std::is_sorted(in_w.begin(), in_w.end()));
-  result.num_sensors_in_w = static_cast<int>(in_w.size());
+  result.num_sensors_in_w =
+      network_->MarkSensorsInRect(query.area, &scratch->in_w);
   result.threshold =
       SignificanceThreshold(options_.significance, query.days,
                             forest_->time_grid(), result.num_sensors_in_w);
@@ -183,18 +128,20 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
   // sound for All.
   const bool planned =
       options_.use_materialized_levels && strategy == QueryStrategy::kAll;
-  std::vector<AtypicalCluster> micros =
-      planned ? CollectPlannedInputs(query, in_w, &result.cost)
-              : CollectMicros(query, scratch, &result.cost);
+  CollectCandidates(query.days, planned, scratch, &result.cost);
+  std::vector<const AtypicalCluster*>& candidates = scratch->candidates;
 
+  // The filters are independent and each keeps order, so their order
+  // changes no answer.  The strategy's runs first: Pru's O(1) significance
+  // test leaves the area scan few candidates.
   switch (strategy) {
     case QueryStrategy::kAll:
       break;
     case QueryStrategy::kPrune: {
       // Beforehand pruning: only micro-clusters that already clear the
-      // query's significance bar are integrated (in place, order kept).
-      std::erase_if(micros, [&](const AtypicalCluster& m) {
-        return !IsSignificant(m, result.threshold);
+      // query's significance bar are integrated.
+      std::erase_if(candidates, [&](const AtypicalCluster* m) {
+        return !IsSignificant(*m, result.threshold);
       });
       break;
     }
@@ -206,18 +153,32 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
       const std::vector<RegionId> red = cube::ComputeRedZones(
           *measure_, regions_in_w, query.days, result.threshold);
       result.cost.red_zones = red.size();
-      micros = cube::FilterByRedZones(std::move(micros), red, *regions_,
-                                      options_.red_zone_mode);
+      cube::FilterByRedZones(red, *regions_, options_.red_zone_mode,
+                             &scratch->in_red, &candidates);
       break;
     }
   }
+  // A cluster belongs to the query if it touches W at all; events
+  // straddling the boundary keep their full features (their severity must
+  // stay exact for Def. 5 to be meaningful).
+  cube::FilterBySensorMask(scratch->in_w,
+                           cube::RedZoneFilterMode::kKeepIntersecting,
+                           &candidates);
 
-  result.cost.input_micro_clusters = micros.size();
+  // Only the survivors are copied, re-keyed to time-of-day (a plain copy
+  // for a materialized macro, which is already in that form).
+  result.cost.input_micro_clusters = candidates.size();
+  std::vector<AtypicalCluster> inputs;
+  inputs.reserve(candidates.size());
+  for (const AtypicalCluster* c : candidates) {
+    inputs.push_back(WithTemporalKeyMode(*c, forest_->time_grid(),
+                                         TemporalKeyMode::kTimeOfDay));
+  }
   // Query-local id source: results are bit-identical for the same query on
   // the same forest state regardless of prior or concurrent queries, and
   // the forest stays untouched (see kQueryMacroIdBase).
   ClusterIdGenerator result_ids(kQueryMacroIdBase);
-  result.clusters = IntegrateClusters(std::move(micros), options_.integration,
+  result.clusters = IntegrateClusters(std::move(inputs), options_.integration,
                                       &result_ids, &result.cost.integration);
 
   if (options_.post_check_significance) {

@@ -13,6 +13,7 @@
 #ifndef ATYPICAL_CORE_QUERY_H_
 #define ATYPICAL_CORE_QUERY_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/forest.h"
@@ -122,11 +123,17 @@ struct QueryEngineOptions {
 // grown capacity instead of re-allocating scratch per call.  The alloc_probe
 // tests pin Run()'s steady-state allocation count with a warm scratch.
 struct QueryScratch {
-  // Sensors inside W, ascending by id (SensorsInRect order); membership
-  // tests binary-search it.
-  std::vector<SensorId> sensors_in_w;
-  // Leaf micro-cluster pointers over T (MicrosInRange order).
-  std::vector<const AtypicalCluster*> micros_in_range;
+  // Dense per-query sensor masks, one byte per sensor of the network:
+  // in_w[s] is 1 iff s lies in W; in_red[s] (Gui only) is 1 iff s lies in a
+  // red zone.  Filters test a spatial entry with one load.
+  std::vector<uint8_t> in_w;
+  std::vector<uint8_t> in_red;
+  // Per day of T, 1 if a materialized level already covers it.
+  std::vector<uint8_t> covered_days;
+  // Integration candidates as pointers into the forest's immutable clusters:
+  // materialized macros first, then leaf micros in day order.  The filters
+  // erase from it; only the survivors are ever copied.
+  std::vector<const AtypicalCluster*> candidates;
 };
 
 // Online query processor over a built forest.  The region×day severity
@@ -152,27 +159,21 @@ class QueryEngine {
   // As above, with caller-owned scratch reused across calls.  This is the
   // serving-loop entry point: at steady state (warm scratch, warm forest)
   // its allocations are O(result), pinned by tests/alloc_probe_test.cc.
+  // Prepare works on pointers: the area, Pru and Gui filters erase from
+  // the candidate pointers, and only the survivors are copied (re-keyed to
+  // time-of-day) into integration.
   ATYPICAL_HOT QueryResult Run(const AnalyticalQuery& query,
                                QueryStrategy strategy,
                                QueryScratch* scratch) const;
 
  private:
-  // Micro-clusters in range intersecting W, re-keyed to time-of-day.
-  ATYPICAL_HOT std::vector<AtypicalCluster> CollectMicros(
-      const AnalyticalQuery& query, QueryScratch* scratch,
-      QueryCost* cost) const;
-
-  // Materialized plan: months, then weeks, then leaf days for the rest.
-  // `sensors_in_w` must be sorted ascending.
-  ATYPICAL_HOT std::vector<AtypicalCluster> CollectPlannedInputs(
-      const AnalyticalQuery& query, const std::vector<SensorId>& sensors_in_w,
-      QueryCost* cost) const;
-
-  // Drops inputs that do not touch the query area W, in place (order
-  // preserved).  `sensors_in_w` must be sorted ascending.
-  ATYPICAL_HOT static void FilterToArea(
-      const std::vector<SensorId>& sensors_in_w,
-      std::vector<AtypicalCluster>* inputs);
+  // Fills scratch->candidates with pointers to the clusters covering T:
+  // with `planned`, the materialized months, then weeks, then the leaf
+  // micros of the days they leave uncovered; otherwise every leaf micro in
+  // T.  Nothing is copied or filtered here.
+  ATYPICAL_HOT void CollectCandidates(const DayRange& range, bool planned,
+                                      QueryScratch* scratch,
+                                      QueryCost* cost) const;
 
   const SensorNetwork* network_;
   const RegionGrid* regions_;

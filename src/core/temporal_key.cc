@@ -23,14 +23,27 @@ AtypicalCluster WithTemporalKeyMode(const AtypicalCluster& cluster,
   CHECK(cluster.key_mode == TemporalKeyMode::kAbsolute)
       << "cannot recover absolute windows from time-of-day keys";
 
-  AtypicalCluster out = cluster;
-  FeatureVector rekeyed;
-  for (const FeatureVector::Entry& e : cluster.temporal.entries()) {
-    rekeyed.Add(TemporalKey(static_cast<WindowId>(e.key), grid, mode),
-                e.severity);
+  // Field by field, so the absolute TF is never copied: one allocation each
+  // for SF, the re-keyed TF and the micro ids.  Add() accumulates in entry
+  // order; for a single-day cluster the key map is monotone and this is a
+  // straight copy.
+  AtypicalCluster out{.id = cluster.id,
+                      .spatial = cluster.spatial,
+                      .temporal = {},
+                      .key_mode = mode,
+                      .micro_ids = cluster.micro_ids,
+                      .left_child = cluster.left_child,
+                      .right_child = cluster.right_child,
+                      .first_day = cluster.first_day,
+                      .last_day = cluster.last_day,
+                      .num_records = cluster.num_records,
+                      .dominant_true_event = cluster.dominant_true_event};
+  const std::vector<FeatureVector::Entry>& tf = cluster.temporal.entries();
+  out.temporal.Reserve(tf.size());
+  for (const FeatureVector::Entry& e : tf) {
+    out.temporal.Add(TemporalKey(static_cast<WindowId>(e.key), grid, mode),
+                     e.severity);
   }
-  out.temporal = std::move(rekeyed);
-  out.key_mode = mode;
   return out;
 }
 

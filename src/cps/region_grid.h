@@ -24,6 +24,7 @@ class RegionGrid {
   RegionGrid(const SensorNetwork& network, double cell_miles);
 
   int num_regions() const { return cols_ * rows_; }
+  int num_sensors() const { return static_cast<int>(region_of_sensor_.size()); }
   int cols() const { return cols_; }
   int rows() const { return rows_; }
   double cell_miles() const { return cell_miles_; }

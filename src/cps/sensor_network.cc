@@ -82,18 +82,23 @@ double SensorNetwork::Distance(SensorId a, SensorId b,
 
 std::vector<SensorId> SensorNetwork::SensorsInRect(const GeoRect& rect) const {
   std::vector<SensorId> out;
-  SensorsInRect(rect, &out);
-  return out;
-}
-
-void SensorNetwork::SensorsInRect(const GeoRect& rect,
-                                  std::vector<SensorId>* out) const {
-  out->clear();
   // sensors_ is ordered by id (Place assigns ids sequentially), so the
   // output is sorted without an explicit sort.
   for (const Sensor& s : sensors_) {
-    if (rect.Contains(s.location)) out->push_back(s.id);
+    if (rect.Contains(s.location)) out.push_back(s.id);
   }
+  return out;
+}
+
+int SensorNetwork::MarkSensorsInRect(const GeoRect& rect,
+                                     std::vector<uint8_t>* mask) const {
+  mask->resize(sensors_.size());
+  int inside = 0;
+  for (const Sensor& s : sensors_) {
+    (*mask)[s.id] = rect.Contains(s.location) ? 1 : 0;
+    inside += (*mask)[s.id];
+  }
+  return inside;
 }
 
 SensorNeighbors::SensorNeighbors(const SensorNetwork& network,

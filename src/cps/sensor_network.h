@@ -7,6 +7,7 @@
 #ifndef ATYPICAL_CPS_SENSOR_NETWORK_H_
 #define ATYPICAL_CPS_SENSOR_NETWORK_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -69,11 +70,11 @@ class SensorNetwork {
   // All sensors inside the rectangle (query region W).
   std::vector<SensorId> SensorsInRect(const GeoRect& rect) const;
 
-  // Same, into a caller-owned buffer (cleared first) so serving loops reuse
-  // its capacity across queries.  Output is ascending by sensor id, which
-  // lets callers use binary search for membership.
-  ATYPICAL_HOT void SensorsInRect(const GeoRect& rect,
-                                  std::vector<SensorId>* out) const;
+  // The same set as a dense mask: `mask` (caller-owned, so serving loops
+  // reuse its capacity) is overwritten with one byte per sensor, 1 inside
+  // the rectangle.  Returns the number of sensors inside.
+  ATYPICAL_HOT int MarkSensorsInRect(const GeoRect& rect,
+                                     std::vector<uint8_t>* mask) const;
 
   // Distance between two sensors under `metric`.  Road-network distance
   // across different highways is +infinity (HUGE_VAL) — it always exceeds

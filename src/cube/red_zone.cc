@@ -19,33 +19,36 @@ std::vector<RegionId> ComputeRedZones(const RegionDayMeasure& measure,
     }
     if (f >= threshold) red.push_back(region);
   }
-  // Sorted output: FilterByRedZones tests membership by binary search, which
-  // keeps the per-query filter free of hash-set construction (AL015).
+  // Sorted output, whatever the order of `regions_in_w`.
   std::sort(red.begin(), red.end());
   return red;
 }
 
-std::vector<AtypicalCluster> FilterByRedZones(
-    std::vector<AtypicalCluster> clusters,
-    const std::vector<RegionId>& red_zones, const RegionGrid& regions,
-    RedZoneFilterMode mode) {
-  DCHECK(std::is_sorted(red_zones.begin(), red_zones.end()));
-  std::erase_if(clusters, [&](const AtypicalCluster& cluster) {
-    int inside = 0;
-    int total = 0;
-    for (const FeatureVector::Entry& e : cluster.spatial.entries()) {
-      ++total;
-      if (std::binary_search(red_zones.begin(), red_zones.end(),
-                             regions.RegionOfSensor(e.key))) {
-        ++inside;
-      }
-    }
+void FilterBySensorMask(const std::vector<uint8_t>& mask,
+                        RedZoneFilterMode mode,
+                        std::vector<const AtypicalCluster*>* clusters) {
+  const auto marked = [&](const FeatureVector::Entry& e) {
+    return e.key < mask.size() && mask[e.key] != 0;
+  };
+  std::erase_if(*clusters, [&](const AtypicalCluster* cluster) {
+    const std::vector<FeatureVector::Entry>& sf = cluster->spatial.entries();
     const bool keep = mode == RedZoneFilterMode::kKeepIntersecting
-                          ? inside > 0
-                          : inside == total && total > 0;
+                          ? std::any_of(sf.begin(), sf.end(), marked)
+                          : !sf.empty() && std::all_of(sf.begin(), sf.end(),
+                                                       marked);
     return !keep;
   });
-  return clusters;
+}
+
+void FilterByRedZones(const std::vector<RegionId>& red_zones,
+                      const RegionGrid& regions, RedZoneFilterMode mode,
+                      std::vector<uint8_t>* in_red,
+                      std::vector<const AtypicalCluster*>* clusters) {
+  in_red->assign(static_cast<size_t>(regions.num_sensors()), 0);
+  for (RegionId region : red_zones) {
+    for (SensorId s : regions.SensorsInRegion(region)) (*in_red)[s] = 1;
+  }
+  FilterBySensorMask(*in_red, mode, clusters);
 }
 
 }  // namespace cube

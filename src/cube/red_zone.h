@@ -11,6 +11,7 @@
 #ifndef ATYPICAL_CUBE_RED_ZONE_H_
 #define ATYPICAL_CUBE_RED_ZONE_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/cluster.h"
@@ -39,13 +40,22 @@ enum class RedZoneFilterMode : uint8_t {
   kKeepContained,
 };
 
-// Returns the subset of `clusters` surviving the red-zone filter, preserving
-// order.  Clusters pass whole — features are never trimmed, so survivors'
-// severities stay exact.
-ATYPICAL_HOT std::vector<AtypicalCluster> FilterByRedZones(
-    std::vector<AtypicalCluster> clusters,
+// Erases from `clusters`, in place and in order, every cluster that fails
+// `mode` against `mask` (one byte per sensor; a sensor beyond the mask
+// counts as unmarked).  Clusters pass whole — features are never trimmed,
+// so survivors' severities stay exact.  The query's area filter is this
+// with the sensors of W and kKeepIntersecting.
+ATYPICAL_HOT void FilterBySensorMask(
+    const std::vector<uint8_t>& mask, RedZoneFilterMode mode,
+    std::vector<const AtypicalCluster*>* clusters);
+
+// The red-zone filter: marks the sensors of `red_zones` in `in_red`
+// (caller-owned scratch, overwritten with one byte per sensor of
+// `regions`), then FilterBySensorMask(*in_red, mode, clusters).
+ATYPICAL_HOT void FilterByRedZones(
     const std::vector<RegionId>& red_zones, const RegionGrid& regions,
-    RedZoneFilterMode mode = RedZoneFilterMode::kKeepIntersecting);
+    RedZoneFilterMode mode, std::vector<uint8_t>* in_red,
+    std::vector<const AtypicalCluster*>* clusters);
 
 }  // namespace cube
 }  // namespace atypical

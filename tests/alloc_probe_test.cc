@@ -18,6 +18,7 @@
 #include "analytics/report.h"
 #include "core/query.h"
 #include "core/similarity.h"
+#include "core/temporal_key.h"
 #include "gen/workload.h"
 #include "serve/snapshot.h"
 
@@ -97,11 +98,13 @@ TEST(AllocProbeTest, OtherThreadsAllocationsAreInvisible) {
 // The named budget behind the ratchet's (QueryEngine::Run, allocates)
 // entry: heap allocations of one Run() on the kTiny 3-day workload at
 // steady state (warm QueryScratch, lazy compaction already paid,
-// obs counters registered).  Everything left is O(result) answer assembly
-// (measured 176-182 per run for All/Pru/Gui); the ~1.3x headroom absorbs
-// library variation without letting a per-query index or a per-input-cluster
-// regression slip through.
-constexpr uint64_t kQueryRunSteadyStateAllocBudget = 240;
+// obs counters registered).  Everything left is O(result) answer assembly:
+// three allocations per surviving candidate's copy plus integration output
+// (measured 121/118/127 per run for All/Pru/Gui; 179/179/185 when prepare
+// still copied every in-range micro before filtering).  The ~1.3x headroom
+// absorbs library variation without letting a per-query index or a copy of
+// pruned candidates slip back in.
+constexpr uint64_t kQueryRunSteadyStateAllocBudget = 165;
 
 class ServingBudgetTest : public ::testing::Test {
  protected:
@@ -201,6 +204,28 @@ TEST(SimilarityAllocTest, CompactedSimilarityIsAllocationFree) {
   const uint64_t count = probe.Count();
   EXPECT_EQ(count, 0u);
   EXPECT_GT(sum, 0.0);  // the clusters overlap, so the scans did real work
+}
+
+TEST(RekeyAllocTest, SingleDayMicroCostsThreeAllocations) {
+  // SF, the re-keyed TF and the micro ids: the absolute TF is never copied
+  // and the re-keyed one never regrows.
+  const TimeGrid grid(15);
+  AtypicalCluster micro;
+  micro.id = 5;
+  micro.micro_ids = {5};
+  for (uint32_t s = 0; s < 12; ++s) micro.spatial.Add(s, 1.0 + s);
+  for (int w = 30; w < 50; ++w) {
+    micro.temporal.Add(static_cast<uint32_t>(grid.MakeWindow(3, w)), 0.5 * w);
+  }
+  micro.spatial.EnsureCompact();
+  micro.temporal.EnsureCompact();
+
+  util::AllocProbe probe;
+  const AtypicalCluster rekeyed =
+      WithTemporalKeyMode(micro, grid, TemporalKeyMode::kTimeOfDay);
+  const uint64_t count = probe.Count();
+  EXPECT_EQ(count, 3u);
+  EXPECT_EQ(rekeyed.temporal.size(), 20u);
 }
 
 // ---- publish cost (DESIGN §16) --------------------------------------------

@@ -2,12 +2,16 @@
 // end-to-end workload.
 #include "core/query.h"
 
+#include <bit>
+#include <cstdint>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "analytics/ground_truth.h"
 #include "analytics/report.h"
+#include "query_reference.h"
 
 namespace atypical {
 namespace {
@@ -240,6 +244,143 @@ TEST_F(QueryEngineTest, ResultIdsIndependentOfPriorQueries) {
       EXPECT_GE(first.clusters[i].id, kQueryMacroIdBase);
     }
   }
+}
+
+
+// ---- prepare oracle --------------------------------------------------------
+
+// Run() filters pointers and copies only the survivors; the reference in
+// query_reference.h copies every in-range cluster first and filters copies.
+// Both must give the same answer bit for bit, ids included, under every
+// strategy, red-zone mode and plan setting.
+class PrepareOracleTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ctx_ = analytics::BuildContext(WorkloadScale::kTiny, 2,
+                                   analytics::DefaultForestParams(), 41)
+               .release();
+    ctx_->forest->MaterializeWeeks();
+    ctx_->forest->MaterializeMonths(ctx_->days_per_month());
+  }
+  static void TearDownTestSuite() {
+    delete ctx_;
+    ctx_ = nullptr;
+  }
+
+  // Seeded random queries, plus a rect holding no sensor, a range past
+  // the stored days and a whole-area query.
+  static std::vector<AnalyticalQuery> Queries() {
+    const GeoRect bounds = ctx_->network().bounds();
+    const int stored_days = 2 * ctx_->days_per_month();
+    std::mt19937 rng(7);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::vector<AnalyticalQuery> queries;
+    for (int i = 0; i < 24; ++i) {
+      const double x0 = bounds.min_x + unit(rng) * bounds.Width();
+      const double y0 = bounds.min_y + unit(rng) * bounds.Height();
+      const double w = (0.1 + 0.6 * unit(rng)) * bounds.Width();
+      const double h = (0.1 + 0.6 * unit(rng)) * bounds.Height();
+      const int first = static_cast<int>(rng() % stored_days);
+      const int length = 1 + static_cast<int>(rng() % 14);
+      queries.push_back(AnalyticalQuery{
+          GeoRect{x0, y0, x0 + w, y0 + h},
+          DayRange{first, first + length - 1}});
+    }
+    AnalyticalQuery whole = ctx_->WholeAreaQuery(stored_days);
+    queries.push_back(whole);
+    AnalyticalQuery nowhere = whole;
+    nowhere.area = GeoRect{bounds.max_x + 10, bounds.max_y + 10,
+                           bounds.max_x + 11, bounds.max_y + 11};
+    queries.push_back(nowhere);
+    AnalyticalQuery past = whole;
+    past.days = DayRange{stored_days + 5, stored_days + 9};
+    queries.push_back(past);
+    return queries;
+  }
+
+  static void ExpectBitIdentical(const AtypicalCluster& a,
+                                 const AtypicalCluster& b) {
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.micro_ids, b.micro_ids);
+    EXPECT_EQ(a.left_child, b.left_child);
+    EXPECT_EQ(a.right_child, b.right_child);
+    EXPECT_TRUE(a.key_mode == b.key_mode);
+    EXPECT_EQ(a.spatial.entries(), b.spatial.entries());
+    EXPECT_EQ(a.temporal.entries(), b.temporal.entries());
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.severity()),
+              std::bit_cast<uint64_t>(b.severity()));
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.temporal.total()),
+              std::bit_cast<uint64_t>(b.temporal.total()));
+    EXPECT_EQ(a.first_day, b.first_day);
+    EXPECT_EQ(a.last_day, b.last_day);
+    EXPECT_EQ(a.num_records, b.num_records);
+    EXPECT_EQ(a.dominant_true_event, b.dominant_true_event);
+  }
+
+  static analytics::ExperimentContext* ctx_;
+};
+
+analytics::ExperimentContext* PrepareOracleTest::ctx_ = nullptr;
+
+TEST_F(PrepareOracleTest, RunMatchesCopyThenFilterReference) {
+  const std::vector<AnalyticalQuery> queries = Queries();
+  // One scratch for every run: masks and buffers left by one query must
+  // not leak into the next.
+  QueryScratch scratch;
+  size_t filtered = 0;
+  size_t guided_without_red = 0;
+  size_t planned_with_macros = 0;
+  for (const bool planned : {false, true}) {
+    for (const cube::RedZoneFilterMode mode :
+         {cube::RedZoneFilterMode::kKeepIntersecting,
+          cube::RedZoneFilterMode::kKeepContained}) {
+      QueryEngineOptions options = analytics::DefaultEngineOptions();
+      options.integration = ctx_->forest_params.integration;
+      options.use_materialized_levels = planned;
+      options.red_zone_mode = mode;
+      const QueryEngine engine = ctx_->MakeEngine(options);
+      for (const QueryStrategy strategy :
+           {QueryStrategy::kAll, QueryStrategy::kPrune,
+            QueryStrategy::kGuided}) {
+        for (size_t q = 0; q < queries.size(); ++q) {
+          SCOPED_TRACE(testing::Message()
+                       << "planned=" << planned << " mode="
+                       << static_cast<int>(mode) << " strategy="
+                       << QueryStrategyName(strategy) << " query=" << q);
+          const QueryResult got = engine.Run(queries[q], strategy, &scratch);
+          const reference::QueryAnswer want = reference::RunQuery(
+              ctx_->network(), ctx_->regions(), *ctx_->forest, ctx_->measure,
+              options, queries[q], strategy);
+          EXPECT_EQ(std::bit_cast<uint64_t>(got.threshold),
+                    std::bit_cast<uint64_t>(want.threshold));
+          EXPECT_EQ(got.cost.input_micro_clusters, want.input_micro_clusters);
+          EXPECT_EQ(got.cost.micro_clusters_in_range,
+                    want.micro_clusters_in_range);
+          EXPECT_EQ(got.cost.red_zones, want.red_zones);
+          EXPECT_EQ(got.cost.regions_checked, want.regions_checked);
+          ASSERT_EQ(got.clusters.size(), want.clusters.size());
+          for (size_t i = 0; i < got.clusters.size(); ++i) {
+            ExpectBitIdentical(got.clusters[i], want.clusters[i]);
+          }
+          if (got.cost.input_micro_clusters <
+              got.cost.micro_clusters_in_range) {
+            ++filtered;
+          }
+          if (strategy == QueryStrategy::kGuided &&
+              got.cost.micro_clusters_in_range > 0 &&
+              got.cost.red_zones == 0) {
+            ++guided_without_red;
+          }
+          if (got.cost.materialized_inputs > 0) ++planned_with_macros;
+        }
+      }
+    }
+  }
+  // The cases are not vacuous: filters dropped clusters, some Gui query
+  // over stored data found no red zone, and the plan served macros.
+  EXPECT_GT(filtered, 0u);
+  EXPECT_GT(guided_without_red, 0u);
+  EXPECT_GT(planned_with_macros, 0u);
 }
 
 }  // namespace
