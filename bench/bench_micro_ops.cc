@@ -3,6 +3,9 @@
 // with/without the index, cube aggregation, epoch publish, record codecs.
 #include <benchmark/benchmark.h>
 
+#include <utility>
+#include <vector>
+
 #include "analytics/report.h"
 #include "core/event_retrieval.h"
 #include "core/integration.h"
@@ -47,6 +50,44 @@ void BM_FeatureVectorMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * size);
 }
 BENCHMARK(BM_FeatureVectorMerge)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+// Builds one feature from `adds` keys in one of three orders, then reads its
+// size, so a build that defers work to the first read pays it here too.
+// Orders: 0 ascending distinct keys (every add appends); 1 window-major, a
+// fixed shuffled set of 16 sensors cycled once per window, as an SF sees a
+// micro-cluster's records in BuildMicroCluster; 2 uniform random keys over
+// adds/4 values.
+void BM_FeatureVectorAdd(benchmark::State& state) {
+  Rng rng(5);
+  const int order = static_cast<int>(state.range(0));
+  const int adds = static_cast<int>(state.range(1));
+  std::vector<uint32_t> sensors(16);
+  for (uint32_t& sensor : sensors) {
+    sensor = static_cast<uint32_t>(rng.UniformInt(uint64_t{4096}));
+  }
+  std::vector<std::pair<uint32_t, double>> seq;
+  for (int i = 0; i < adds; ++i) {
+    uint32_t key = static_cast<uint32_t>(i);
+    if (order == 1) key = sensors[static_cast<size_t>(i) % sensors.size()];
+    if (order == 2) {
+      key = static_cast<uint32_t>(rng.UniformInt(uint64_t(adds / 4)));
+    }
+    seq.emplace_back(key, rng.Uniform(1.0, 10.0));
+  }
+  state.SetLabel(order == 0 ? "ascending"
+                 : order == 1 ? "window-major"
+                              : "random");
+  for (auto _ : state) {
+    FeatureVector f;
+    for (const auto& [key, severity] : seq) f.Add(key, severity);
+    benchmark::DoNotOptimize(f.size());
+    benchmark::DoNotOptimize(f.total());
+  }
+  state.SetItemsProcessed(state.iterations() * adds);
+}
+BENCHMARK(BM_FeatureVectorAdd)
+    ->ArgNames({"order", "adds"})
+    ->ArgsProduct({{0, 1, 2}, {64, 1024}});
 
 void BM_Similarity(benchmark::State& state) {
   Rng rng(2);

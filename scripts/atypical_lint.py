@@ -63,6 +63,12 @@ Checks
                                1e-6 similarity-slack contract.  Reduce over
                                a sorted view (or the galloping ordered path,
                                see core/similarity.cc).
+  AL016 mutable-state          no `mutable` data member in the deterministic
+                               modules: a const read that writes (a lazy
+                               sort, a cache) races when readers share the
+                               object.  A util::Mutex and atomics are
+                               exempt; otherwise justify with
+                               `NOLINT(AL016): <why>`.
 
 Suppressions reuse the NOLINT convention and must themselves be justified
 (AL001):   ... code ...  // NOLINT(AL003): counter is test-local
@@ -997,6 +1003,37 @@ def check_float_accumulation(sf: SourceFile) -> list[Finding]:
     return findings
 
 
+# --- AL016: mutable data members in deterministic modules -------------------
+
+MUTABLE_MEMBER_RE = re.compile(r"^(?:[\w:<>,*&\s]*\s)?mutable\s")
+MUTABLE_EXEMPT_RE = re.compile(r"\b(?:util::)?Mutex\b|\bstd::atomic\b")
+
+
+def check_mutable_state(sf: SourceFile) -> list[Finding]:
+    if not _in_deterministic_scope(sf):
+        return []
+    findings = []
+    code_text = "\n".join(sf.code)
+    for cls, start, end in _class_spans(code_text):
+        for stmt, offset in _member_statements(code_text, start, end):
+            head = re.split(r"[=({\[]", stmt)[0]
+            if not MUTABLE_MEMBER_RE.match(head):
+                continue
+            if MUTABLE_EXEMPT_RE.search(head):
+                continue
+            line_idx = code_text.count("\n", 0, offset)
+            if suppressed(sf, line_idx, "AL016"):
+                continue
+            tokens = re.findall(r"[A-Za-z_]\w*", head)
+            findings.append(Finding(
+                sf.path, line_idx + 1, "AL016", "mutable-state",
+                f"class '{cls}' has mutable member '{tokens[-1]}' in a "
+                "deterministic module: a const read that writes races when "
+                "readers share the object; keep the state valid after every "
+                "write, or justify with NOLINT(AL016): <why>"))
+    return findings
+
+
 TEXT_CHECKS = [
     check_nolint_justification,
     check_metric_names,
@@ -1009,6 +1046,7 @@ TEXT_CHECKS = [
     check_nondeterminism_sources,
     check_guarded_by,
     check_float_accumulation,
+    check_mutable_state,
 ]
 
 

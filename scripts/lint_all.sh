@@ -7,7 +7,7 @@
 # Stages (all must pass):
 #   1. atypical_lint self-test      the lint's own fixture suite
 #   2. check_layering self-test     the layering checker's fixture trees
-#   3. atypical_lint               project conventions (AL001-AL012) over
+#   3. atypical_lint               conventions (AL001-AL012, AL016) over
 #                                  src/ tests/ bench/ examples/; includes
 #                                  AL007 header self-containment unless
 #                                  --skip-includes (needs a C++ compiler)

@@ -1,6 +1,7 @@
 // Lint fixture: order-safe patterns the determinism checks must NOT flag.
 // Exercised by atypical_lint.py --self-test; never compiled.
 #include <algorithm>
+#include <atomic>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -50,5 +51,20 @@ int CountHot(Sketch& by_row, const std::vector<int>& row) {
   }
   return hot;
 }
+
+// A lock and an atomic are the mutable members const readers may share; a
+// mutable lambda is no data member.
+class Tally {
+ public:
+  int Bump() const {
+    auto next = [n = hits_.load()]() mutable { return ++n; };
+    return next();
+  }
+
+ private:
+  mutable util::Mutex mu_;
+  int total_ ATYPICAL_GUARDED_BY(mu_) = 0;
+  mutable std::atomic<int> hits_{0};
+};
 
 }  // namespace fixture

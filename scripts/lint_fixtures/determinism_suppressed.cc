@@ -39,4 +39,12 @@ long CountAll(const std::unordered_map<int, double>& m) {
 // NOLINTNEXTLINE(AL010): one-shot seed report for operators; never feeds results
 unsigned LogSeed() { return std::random_device{}(); }
 
+class Histogram {
+ public:
+  int Count() const;
+
+ private:
+  mutable int reads_ = 0;  // NOLINT(AL016): fixture exercises the suppression path
+};
+
 }  // namespace fixture

@@ -1,8 +1,10 @@
-// Lint fixture: determinism violations the AL009/AL010/AL012 checks must
-// catch in deterministic modules.  Exercised by atypical_lint.py --self-test;
-// never compiled.
+// Lint fixture: determinism violations the AL009/AL010/AL012/AL016 checks
+// must catch in deterministic modules.  Exercised by
+// atypical_lint.py --self-test; never compiled.
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 namespace fixture {
 
@@ -51,5 +53,20 @@ unsigned Entropy() {
 unsigned long Identity(const int* p) {
   return reinterpret_cast<uintptr_t>(p);  // EXPECT-LINT: AL010
 }
+
+// A const read that sorts under the hood: two readers of a shared object
+// race on both members.
+class LazySorted {
+ public:
+  int size() const;
+
+ private:
+  mutable std::vector<int> entries_;  // EXPECT-LINT: AL016
+  mutable bool dirty_ = false;  // EXPECT-LINT: AL016
+};
+
+struct Memo {
+  std::map<int, double> mutable cache;  // EXPECT-LINT: AL016
+};
 
 }  // namespace fixture

@@ -8,59 +8,11 @@
 
 namespace atypical {
 
-void FeatureVector::Add(uint32_t key, double severity) {
-  CHECK_GE(severity, 0.0);
-  if (severity == 0.0) return;
-  // Fast path: appending in key order keeps the vector clean.
-  if (!dirty_ && !entries_.empty() && entries_.back().key == key) {
-    entries_.back().severity += severity;
-  } else if (!dirty_ && (entries_.empty() || entries_.back().key < key)) {
-    entries_.push_back(Entry{key, severity});
-  } else {
-    entries_.push_back(Entry{key, severity});
-    dirty_ = true;
-  }
-  total_ += severity;
-}
-
-void FeatureVector::Compact() const {
-  if (!dirty_) return;
-  std::sort(entries_.begin(), entries_.end(),
-            [](const Entry& a, const Entry& b) { return a.key < b.key; });
-  size_t out = 0;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    if (out > 0 && entries_[out - 1].key == entries_[i].key) {
-      entries_[out - 1].severity += entries_[i].severity;
-    } else {
-      entries_[out++] = entries_[i];
-    }
-  }
-  entries_.resize(out);  // NOEFFECT(allocates): shrink-only (out <= size())
-  dirty_ = false;
-}
-
-size_t FeatureVector::size() const {
-  Compact();
-  return entries_.size();
-}
-
-double FeatureVector::Get(uint32_t key) const {
-  Compact();
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), key,
-      [](const Entry& e, uint32_t k) { return e.key < k; });
-  if (it == entries_.end() || it->key != key) return 0.0;
-  return it->severity;
-}
-
-bool FeatureVector::Contains(uint32_t key) const { return Get(key) > 0.0; }
-
-const std::vector<FeatureVector::Entry>& FeatureVector::entries() const {
-  Compact();
-  return entries_;
-}
-
 namespace {
+
+bool KeyLess(const FeatureVector::Entry& e, uint32_t key) {
+  return e.key < key;
+}
 
 // First index in [lo, entries.size()) whose key is >= `key`, found by
 // doubling steps then a binary search over the final bracket.  O(log gap)
@@ -77,8 +29,7 @@ size_t GallopLowerBound(const std::vector<FeatureVector::Entry>& entries,
   hi = std::min(hi, entries.size());
   const auto it = std::lower_bound(
       entries.begin() + static_cast<ptrdiff_t>(lo),
-      entries.begin() + static_cast<ptrdiff_t>(hi), key,
-      [](const FeatureVector::Entry& e, uint32_t k) { return e.key < k; });
+      entries.begin() + static_cast<ptrdiff_t>(hi), key, KeyLess);
   return static_cast<size_t>(it - entries.begin());
 }
 
@@ -88,6 +39,32 @@ size_t GallopLowerBound(const std::vector<FeatureVector::Entry>& entries,
 constexpr size_t kGallopSkewFactor = 16;
 
 }  // namespace
+
+void FeatureVector::Add(uint32_t key, double severity) {
+  CHECK_GE(severity, 0.0);
+  if (severity == 0.0) return;
+  total_ += severity;
+  if (entries_.empty() || entries_.back().key < key) {
+    entries_.push_back(Entry{key, severity});
+    return;
+  }
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess);
+  if (it->key == key) {
+    it->severity += severity;
+  } else {
+    entries_.insert(it, Entry{key, severity});
+  }
+}
+
+double FeatureVector::Get(uint32_t key) const {
+  const auto it =
+      std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess);
+  if (it == entries_.end() || it->key != key) return 0.0;
+  return it->severity;
+}
+
+bool FeatureVector::Contains(uint32_t key) const { return Get(key) > 0.0; }
 
 std::pair<double, double> FeatureVector::CommonSeverity(
     const FeatureVector& other) const {

@@ -37,16 +37,19 @@ class FeatureVector {
 
   FeatureVector() = default;
 
-  // Accumulates `severity` onto `key`.  Amortized O(1); entries are kept
-  // sorted lazily (Compact() runs on first read after writes).
+  // Accumulates `severity` onto `key`, keeping the entries sorted and
+  // duplicate-free after every call.  O(1) when `key` is above the largest
+  // key so far; otherwise a binary search plus, for a new key, an in-place
+  // insert.  A key's severity is the left-to-right sum of its adds
+  // in call order.
   void Add(uint32_t key, double severity);
 
   // Capacity for `n` entries, so the next `n` Add() calls do not regrow.
   void Reserve(size_t n) { entries_.reserve(n); }
 
   // Number of distinct keys.
-  size_t size() const;
-  bool empty() const { return size() == 0; }
+  size_t size() const { return entries_.size(); }
+  bool empty() const { return entries_.empty(); }
 
   // Total severity across all keys.
   double total() const { return total_; }
@@ -56,13 +59,7 @@ class FeatureVector {
   bool Contains(uint32_t key) const;
 
   // Sorted, duplicate-free entries.
-  const std::vector<Entry>& entries() const;
-
-  // Forces the lazy sort/dedup now.  Reads are conceptually const but may
-  // compact mutable state, so a FeatureVector must be compacted (and no
-  // longer written) before it is shared across threads; after this call all
-  // const accessors are physically read-only until the next Add().
-  void EnsureCompact() const { Compact(); }
+  const std::vector<Entry>& entries() const { return entries_; }
 
   // Severity mass shared with `other`: (Σ_{common keys} this.severity,
   // Σ_{common keys} other.severity).  The numerators of Eq. 3 / Eq. 4.
@@ -85,16 +82,11 @@ class FeatureVector {
   uint64_t ByteSize() const;
 
   friend bool operator==(const FeatureVector& a, const FeatureVector& b) {
-    return a.entries() == b.entries();
+    return a.entries_ == b.entries_;
   }
 
  private:
-  void Compact() const;
-
-  // `entries_` may hold unsorted duplicates between Add() calls;
-  // `dirty_` marks that state.  Compact() is conceptually const.
-  mutable std::vector<Entry> entries_;
-  mutable bool dirty_ = false;
+  std::vector<Entry> entries_;  // ascending by key, no duplicates
   double total_ = 0.0;
 };
 

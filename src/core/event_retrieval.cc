@@ -81,7 +81,9 @@ AtypicalCluster BuildMicroCluster(const std::vector<AtypicalRecord>& records,
   std::unordered_map<EventId, double> label_mass;
   PerturbedReserve(label_mass, event.size());
   // Aggregate SF by sensor and TF by window (Def. 4).  Records arrive
-  // window-major, so TF adds are mostly in key order.
+  // window-major, so TF adds append or accumulate onto the last key, while
+  // SF adds revisit the event's sensors and mostly binary-search.  Each
+  // key sums its adds in record order.
   for (size_t idx : event) {
     const AtypicalRecord& r = records[idx];
     cluster.spatial.Add(r.sensor, r.severity_minutes);

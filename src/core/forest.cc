@@ -48,7 +48,7 @@ void AtypicalForest::AddDay(int day,
     day_batches_merged->Add(1);
     micros.insert(micros.begin(), stored.micros->begin(), stored.micros->end());
   }
-  stored.micros = Freeze(std::move(micros));
+  stored.micros = std::make_shared<Block::element_type>(std::move(micros));
 }
 
 void AtypicalForest::AddRecords(const std::vector<AtypicalRecord>& records) {
@@ -149,7 +149,8 @@ size_t AtypicalForest::MaterializeWeeks() {
   for (const auto& [week, range] : weeks) {
     std::vector<AtypicalCluster> macros = IntegrateRange(range);
     built += macros.size();
-    macros_by_week_.emplace(week, Freeze(std::move(macros)));
+    macros_by_week_.emplace(
+        week, std::make_shared<Block::element_type>(std::move(macros)));
   }
   weeks_version_ = ++version_;
   weeks_materialized->Add(macros_by_week_.size());
@@ -178,7 +179,8 @@ size_t AtypicalForest::MaterializeMonths(int days_per_month) {
   for (const auto& [month, range] : months) {
     std::vector<AtypicalCluster> macros = IntegrateRange(range);
     built += macros.size();
-    macros_by_month_.emplace(month, Freeze(std::move(macros)));
+    macros_by_month_.emplace(
+        month, std::make_shared<Block::element_type>(std::move(macros)));
   }
   months_version_ = ++version_;
   months_materialized->Add(macros_by_month_.size());
@@ -222,22 +224,14 @@ void AtypicalForest::AdvanceIdsPast(
   ids_.EnsureAbove(max_id);
 }
 
-AtypicalForest::Block AtypicalForest::Freeze(
-    std::vector<AtypicalCluster> clusters) {
-  for (const AtypicalCluster& c : clusters) {
-    c.spatial.EnsureCompact();
-    c.temporal.EnsureCompact();
-  }
-  return std::make_shared<const std::vector<AtypicalCluster>>(
-      std::move(clusters));
-}
-
 void AtypicalForest::InstallDay(int day,
                                 std::vector<AtypicalCluster> micros) {
   CHECK(!days_.contains(day)) << "day " << day << " already present";
   AdvanceIdsPast(micros);
   num_micros_ += micros.size();
-  days_.emplace(day, Day{Freeze(std::move(micros)), ++version_});
+  days_.emplace(day,
+                Day{std::make_shared<Block::element_type>(std::move(micros)),
+                    ++version_});
 }
 
 bool AtypicalForest::DaysMutatedSince(int first_day, int last_day,

@@ -155,11 +155,6 @@ class AtypicalForest {
   // Moves the id generator past every id in `clusters`.
   void AdvanceIdsPast(const std::vector<AtypicalCluster>& clusters);
 
-  // Compacts the features of clusters about to be stored into a block.
-  // Snapshot readers share stored clusters read-only (DESIGN §8); a dirty
-  // vector would be sorted under const by whichever reader touched it first.
-  static Block Freeze(std::vector<AtypicalCluster> clusters);
-
   // Any day in [first_day, last_day] mutated after `level_version`?
   bool DaysMutatedSince(int first_day, int last_day,
                         uint64_t level_version) const;

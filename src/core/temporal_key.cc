@@ -24,9 +24,9 @@ AtypicalCluster WithTemporalKeyMode(const AtypicalCluster& cluster,
       << "cannot recover absolute windows from time-of-day keys";
 
   // Field by field, so the absolute TF is never copied: one allocation each
-  // for SF, the re-keyed TF and the micro ids.  Add() accumulates in entry
-  // order; for a single-day cluster the key map is monotone and this is a
-  // straight copy.
+  // for SF, the re-keyed TF and the micro ids.  Windows that share a time of
+  // day sum in ascending absolute-window order; for a single-day cluster the
+  // key map is monotone, so every Add() appends.
   AtypicalCluster out{.id = cluster.id,
                       .spatial = cluster.spatial,
                       .temporal = {},

@@ -4,9 +4,8 @@
 // scripts/check_effects.py proves *statically* that ATYPICAL_HOT functions
 // stay off locks and I/O and that their allocations are budgeted; AllocProbe
 // measures the same paths at runtime so the two verdicts cross-validate.
-// Tests warm a path up (first calls may compact features, grow caches,
-// reach steady-state capacity), then probe a repeat call and pin the count
-// to a named budget:
+// Tests warm a path up (first calls may grow caches and reach steady-state
+// capacity), then probe a repeat call and pin the count to a named budget:
 //
 //   util::AllocProbe probe;
 //   auto result = engine.Run(query, strategy, &scratch);

@@ -97,8 +97,7 @@ TEST(AllocProbeTest, OtherThreadsAllocationsAreInvisible) {
 
 // The named budget behind the ratchet's (QueryEngine::Run, allocates)
 // entry: heap allocations of one Run() on the kTiny 3-day workload at
-// steady state (warm QueryScratch, lazy compaction already paid,
-// obs counters registered).  Everything left is O(result) answer assembly:
+// steady state (warm QueryScratch, obs counters registered).  Everything left is O(result) answer assembly:
 // three allocations per surviving candidate's copy plus integration output
 // (measured 121/118/127 per run for All/Pru/Gui; 179/179/185 when prepare
 // still copied every in-range micro before filtering).  The ~1.3x headroom
@@ -176,7 +175,7 @@ TEST_F(ServingBudgetTest, ScratchReuseBeatsPerCallScratch) {
   EXPECT_LT(reused_count, fresh_count);
 }
 
-TEST(SimilarityAllocTest, CompactedSimilarityIsAllocationFree) {
+TEST(SimilarityAllocTest, SimilarityIsAllocationFree) {
   AtypicalCluster a;
   AtypicalCluster b;
   for (uint32_t k = 0; k < 40; ++k) {
@@ -187,12 +186,6 @@ TEST(SimilarityAllocTest, CompactedSimilarityIsAllocationFree) {
     b.spatial.Add(k, 0.5 + k);
     b.temporal.Add(k % 6, 1.0);
   }
-  // Prepay the lazy compaction, as stored forest clusters have it prepaid.
-  a.spatial.EnsureCompact();
-  a.temporal.EnsureCompact();
-  b.spatial.EnsureCompact();
-  b.temporal.EnsureCompact();
-
   util::AllocProbe probe;
   double sum = 0.0;
   for (const BalanceFunction g :
@@ -217,8 +210,6 @@ TEST(RekeyAllocTest, SingleDayMicroCostsThreeAllocations) {
   for (int w = 30; w < 50; ++w) {
     micro.temporal.Add(static_cast<uint32_t>(grid.MakeWindow(3, w)), 0.5 * w);
   }
-  micro.spatial.EnsureCompact();
-  micro.temporal.EnsureCompact();
 
   util::AllocProbe probe;
   const AtypicalCluster rekeyed =

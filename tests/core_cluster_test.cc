@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <latch>
 #include <map>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -213,23 +217,34 @@ TEST(FeatureVectorTest, ByteSizeGrowsWithEntries) {
 
 // ---- adversarial insertion orders vs. a brute-force map reference ----
 //
-// Severities are dyadic rationals (multiples of 0.25), so every partial sum
-// is exact in binary floating point and the comparisons below can demand
-// exact equality regardless of accumulation order.
+// Comparisons are on bit patterns, so a sum off in its last place fails.
+// Most severities below are dyadic rationals (multiples of 0.25): every
+// partial sum is exact, whatever the accumulation order.
+// NonDyadicSumsAreBitExactInCallOrder pins the order itself.
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
 
 void ExpectMatchesReference(const FeatureVector& f,
-                            const std::map<uint32_t, double>& reference) {
+                            const std::map<uint32_t, double>& reference,
+                            double total) {
   const auto& entries = f.entries();
   ASSERT_EQ(entries.size(), reference.size());
   size_t i = 0;
-  double total = 0.0;
   for (const auto& [key, severity] : reference) {
     EXPECT_EQ(entries[i].key, key);
-    EXPECT_DOUBLE_EQ(entries[i].severity, severity);
-    total += severity;
+    EXPECT_EQ(Bits(entries[i].severity), Bits(severity)) << "key " << key;
     ++i;
   }
-  EXPECT_DOUBLE_EQ(f.total(), total);
+  EXPECT_EQ(Bits(f.total()), Bits(total));
+}
+
+// Sums over dyadic severities are exact, so the key-order sum serves as the
+// call-order total.
+void ExpectMatchesReference(const FeatureVector& f,
+                            const std::map<uint32_t, double>& reference) {
+  double total = 0.0;
+  for (const auto& [key, severity] : reference) total += severity;
+  ExpectMatchesReference(f, reference, total);
 }
 
 TEST(FeatureVectorAdversarialTest, DescendingKeys) {
@@ -256,14 +271,14 @@ TEST(FeatureVectorAdversarialTest, InterleavedDuplicates) {
   ExpectMatchesReference(f, reference);
 }
 
-TEST(FeatureVectorAdversarialTest, AddAfterReadRedirties) {
+TEST(FeatureVectorAdversarialTest, AddAfterReadStaysSorted) {
   FeatureVector f;
   std::map<uint32_t, double> reference;
   for (uint32_t k : {9u, 2u, 5u}) {
     f.Add(k, 1.0);
     reference[k] += 1.0;
   }
-  (void)f.entries();  // forces compaction
+  ExpectMatchesReference(f, reference);
   for (uint32_t k : {5u, 2u, 11u, 5u}) {  // out of order again
     f.Add(k, 0.5);
     reference[k] += 0.5;
@@ -299,6 +314,76 @@ TEST(FeatureVectorAdversarialTest, RandomOrdersMatchReferenceAndEachOther) {
   const auto [mine, theirs] = in_order.CommonSeverity(reordered);
   EXPECT_DOUBLE_EQ(mine, in_order.total());
   EXPECT_DOUBLE_EQ(theirs, reordered.total());
+}
+
+TEST(FeatureVectorAdversarialTest, NonDyadicSumsAreBitExactInCallOrder) {
+  // 0.1 * k has no exact binary form, so adding a key's severities in any
+  // other order can change the last bits.  Each entry must be the
+  // left-to-right sum of its key's adds in call order, and total() the sum
+  // of all adds in call order.
+  Rng rng(31);
+  std::vector<std::pair<uint32_t, double>> adds;
+  for (int i = 0; i < 200; ++i) {
+    adds.emplace_back(static_cast<uint32_t>(7 * (i % 10)), 0.1 * (i + 1));
+  }
+  for (size_t i = adds.size() - 1; i > 0; --i) {
+    std::swap(adds[i], adds[rng.UniformInt(i + 1)]);
+  }
+  FeatureVector f;
+  std::map<uint32_t, double> reference;
+  double total = 0.0;
+  for (const auto& [key, severity] : adds) {
+    f.Add(key, severity);
+    reference[key] += severity;
+    total += severity;
+  }
+  ExpectMatchesReference(f, reference, total);
+}
+
+TEST(FeatureVectorConcurrencyTest, FirstReadsFromFourThreads) {
+  // Shared clusters are read without a lock, so a feature must be read-only
+  // once built: the first reads after out-of-order adds race here under
+  // TSan if any const accessor writes.
+  FeatureVector f;
+  std::map<uint32_t, double> reference;
+  for (uint32_t k = 64; k > 0; --k) {
+    for (uint32_t key : {k, 200 - k, k}) {
+      const double severity = 0.25 * static_cast<double>(1 + k % 5);
+      f.Add(key, severity);
+      reference[key] += severity;
+    }
+  }
+  double reference_total = 0.0;
+  for (const auto& [key, severity] : reference) reference_total += severity;
+
+  struct Seen {
+    size_t size = 0;
+    size_t entries = 0;
+    double get = 0.0;
+    std::pair<double, double> common;
+  };
+  constexpr int kThreads = 4;
+  std::vector<Seen> seen(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&f, &start, &seen, t] {
+      start.arrive_and_wait();
+      seen[t].size = f.size();
+      seen[t].entries = f.entries().size();
+      seen[t].get = f.Get(7);
+      seen[t].common = f.CommonSeverity(f);
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.size, reference.size());
+    EXPECT_EQ(s.entries, reference.size());
+    EXPECT_EQ(s.get, reference[7]);
+    EXPECT_EQ(s.common.first, reference_total);
+    EXPECT_EQ(s.common.second, reference_total);
+  }
+  ExpectMatchesReference(f, reference);
 }
 
 // ---- galloping intersection ----
