@@ -3,6 +3,7 @@
 // with/without the index, cube aggregation, epoch publish, record codecs.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -50,6 +51,33 @@ void BM_FeatureVectorMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * size);
 }
 BENCHMARK(BM_FeatureVectorMerge)->Arg(8)->Arg(64)->Arg(512)->Arg(4096);
+
+// One in-place absorb, the step Algorithm 3 repeats: a 4096-key survivor
+// takes in a feature of 4096/N keys over the same key space, so about a
+// quarter of the small side's keys are common.  The survivor is reset from
+// a copy outside the timed region (the copy reuses its capacity), and the
+// merge buffer is warm, as it is over a run of merges.
+void BM_MergeFrom(benchmark::State& state) {
+  constexpr int kSurvivorKeys = 4096;
+  Rng rng(4);
+  const int absorbed = kSurvivorKeys / static_cast<int>(state.range(0));
+  const FeatureVector a = RandomFeature(kSurvivorKeys, 4 * kSurvivorKeys, rng);
+  const FeatureVector b = RandomFeature(absorbed, 4 * kSurvivorKeys, rng);
+  FeatureVector survivor = a;
+  std::vector<FeatureVector::Entry> buf;
+  survivor.MergeFrom(b, &buf);
+  for (auto _ : state) {
+    state.PauseTiming();
+    survivor = a;
+    state.ResumeTiming();
+    survivor.MergeFrom(b, &buf);
+    benchmark::DoNotOptimize(survivor.total());
+  }
+  state.SetLabel("|b| = |a|/" + std::to_string(state.range(0)));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(a.size() + b.size()));
+}
+BENCHMARK(BM_MergeFrom)->Arg(1)->Arg(16)->Arg(256);
 
 // Builds one feature from `adds` keys in one of three orders, then reads its
 // size, so a build that defers work to the first read pays it here too.

@@ -107,27 +107,37 @@ std::pair<double, double> FeatureVector::CommonSeverity(
   return {mine, theirs};
 }
 
-FeatureVector FeatureVector::Merge(const FeatureVector& a,
-                                   const FeatureVector& b) {
-  const auto& ea = a.entries();
-  const auto& eb = b.entries();
-  FeatureVector out;
-  out.entries_.reserve(ea.size() + eb.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ea.size() || j < eb.size()) {
-    if (j == eb.size() || (i < ea.size() && ea[i].key < eb[j].key)) {
-      out.entries_.push_back(ea[i++]);
-    } else if (i == ea.size() || eb[j].key < ea[i].key) {
-      out.entries_.push_back(eb[j++]);
+void FeatureVector::MergeFrom(const FeatureVector& b,
+                              std::vector<Entry>* buf) {
+  const auto& ea = entries_;
+  const auto& eb = b.entries_;
+  buf->clear();
+  buf->reserve(ea.size() + eb.size());
+  auto ia = ea.begin();
+  auto ib = eb.begin();
+  while (ia != ea.end() && ib != eb.end()) {
+    if (ia->key < ib->key) {
+      buf->push_back(*ia++);
+    } else if (ib->key < ia->key) {
+      buf->push_back(*ib++);
     } else {
-      out.entries_.push_back(
-          Entry{ea[i].key, ea[i].severity + eb[j].severity});
-      ++i;
-      ++j;
+      buf->push_back(Entry{ia->key, ia->severity + ib->severity});
+      ++ia;
+      ++ib;
     }
   }
-  out.total_ = a.total_ + b.total_;
+  // At most one side has entries left, all above every key merged so far.
+  buf->insert(buf->end(), ia, ea.end());
+  buf->insert(buf->end(), ib, eb.end());
+  entries_.swap(*buf);
+  total_ += b.total_;
+}
+
+FeatureVector FeatureVector::Merge(const FeatureVector& a,
+                                   const FeatureVector& b) {
+  FeatureVector out = a;
+  std::vector<Entry> buf;
+  out.MergeFrom(b, &buf);
   return out;
 }
 

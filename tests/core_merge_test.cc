@@ -1,6 +1,8 @@
 // Algorithm 2 and its algebraic properties (Properties 2 and 3).
 #include "core/merge.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/random.h"
@@ -204,6 +206,34 @@ TEST(MergeTest, DominantEventFollowsBiggerCluster) {
   b.micro_ids = {b.id};
   EXPECT_EQ(MergeClusters(a, b, &ids).dominant_true_event, 7u);
   EXPECT_EQ(MergeClusters(b, a, &ids).dominant_true_event, 7u);
+}
+
+TEST(MergeTest, AbsorbWithReusedScratchMatchesFreshMerges) {
+  // One MergeScratch carries the storage of earlier survivors into later
+  // absorbs; what it held before must not leak into a result.
+  Rng rng(47);
+  ClusterIdGenerator micro_ids(1);
+  std::vector<AtypicalCluster> micros;
+  for (int i = 0; i < 12; ++i) micros.push_back(RandomCluster(rng, &micro_ids));
+  ClusterIdGenerator absorb_ids(100);
+  ClusterIdGenerator merge_ids(100);
+  MergeScratch scratch;
+  for (size_t first = 0; first < micros.size(); first += 4) {
+    AtypicalCluster absorbed = micros[first];
+    AtypicalCluster merged = micros[first];
+    for (size_t k = first + 1; k < first + 4; ++k) {
+      AbsorbCluster(&absorbed, micros[k], &absorb_ids, &scratch);
+      merged = MergeClusters(merged, micros[k], &merge_ids);
+    }
+    EXPECT_EQ(absorbed.id, merged.id);
+    EXPECT_EQ(absorbed.spatial, merged.spatial);
+    EXPECT_EQ(absorbed.spatial.total(), merged.spatial.total());
+    EXPECT_EQ(absorbed.temporal, merged.temporal);
+    EXPECT_EQ(absorbed.temporal.total(), merged.temporal.total());
+    EXPECT_EQ(absorbed.micro_ids, merged.micro_ids);
+    EXPECT_EQ(absorbed.left_child, merged.left_child);
+    EXPECT_EQ(absorbed.right_child, merged.right_child);
+  }
 }
 
 TEST(MergeDeathTest, MixedKeyModesDie) {
