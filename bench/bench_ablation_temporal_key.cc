@@ -26,7 +26,7 @@ int main() {
   const IntegrationParams integration = ctx->forest_params.integration;
 
   Table table({"key mode", "input micros", "output macros", "merges",
-               "largest cluster (days)"});
+               "pairs evaluated", "largest cluster (days)"});
   for (const TemporalKeyMode mode :
        {TemporalKeyMode::kAbsolute, TemporalKeyMode::kTimeOfDay}) {
     std::vector<AtypicalCluster> inputs;
@@ -48,6 +48,7 @@ int main() {
                   StrPrintf("%zu", input_count),
                   StrPrintf("%zu", macros.size()),
                   StrPrintf("%zu", stats.merges),
+                  StrPrintf("%zu", stats.similarity_checks),
                   StrPrintf("%d", longest_span)});
   }
   bench::EmitTable("ablation_temporal_key", table);

@@ -387,9 +387,9 @@ TEST(WindowRuleTest, WindowOfAnAbsorbedSlotBringsInItsHolders) {
 }
 
 TEST(WindowRuleTest, WindowKeysFarFromZeroGiveTheSamePartition) {
-  // Window postings are sized by the inputs' key span, as absolute WindowIds
-  // need: shifting every temporal key by 1,000,000 changes nothing in the
-  // output.
+  // Window masks are keyed from the inputs' smallest key, as absolute
+  // WindowIds need: shifting every temporal key by 1,000,000 changes
+  // nothing in the output or in the pairs evaluated.
   auto shifted = [](std::vector<AtypicalCluster> micros, uint32_t offset) {
     for (AtypicalCluster& c : micros) {
       FeatureVector temporal;
@@ -469,6 +469,24 @@ TEST(IntegrationTest, MicroIdsArePreservedAsPartition) {
   }
   EXPECT_EQ(output_micro_ids, input_ids);
   EXPECT_NEAR(output_severity, input_severity, 1e-6);
+}
+
+TEST(IntegrationTest, MergedClustersLeaveWithoutSpareCapacity) {
+  // Survivors grow in reused scratch storage; what they return holds
+  // exactly its entries, however large the run's biggest cluster was.
+  Rng rng(7);
+  ClusterIdGenerator ids(1);
+  std::vector<AtypicalCluster> micros = RandomMicros(80, 10, rng, &ids);
+  IntegrationStats stats;
+  const auto out =
+      IntegrateClusters(std::move(micros), IntegrationParams{}, &ids, &stats);
+  ASSERT_GT(stats.merges, 1u);
+  for (const auto& c : out) {
+    if (c.micro_ids.size() < 2) continue;
+    EXPECT_EQ(c.spatial.entries().capacity(), c.spatial.size());
+    EXPECT_EQ(c.temporal.entries().capacity(), c.temporal.size());
+    EXPECT_EQ(c.micro_ids.capacity(), c.micro_ids.size());
+  }
 }
 
 TEST(IntegrationTest, StatsAreConsistent) {
