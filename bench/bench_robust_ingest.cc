@@ -41,12 +41,11 @@ RunResult RunRaw(const Workload& workload, const TimeGrid& grid,
 }
 
 RunResult RunGuarded(const Workload& workload, const TimeGrid& grid,
-                     const RetrievalParams& params, IngestPolicy policy,
+                     const RetrievalParams& params,
+                     const IngestOptions& options,
                      const std::vector<AtypicalRecord>& records) {
   RunResult result;
   ClusterIdGenerator ids(1);
-  IngestOptions options;
-  options.policy = policy;
   RobustStreamingEventBuilder guard(
       workload.sensors.get(), grid, params, &ids,
       [&](AtypicalCluster) { ++result.clusters; }, options);
@@ -103,14 +102,17 @@ int main(int argc, char** argv) {
   };
 
   add_row("raw builder (clean)", raw);
+  const IngestOptions buffer{};  // kBuffer at the default horizon
   add_row("guard kStrict (clean)",
-          RunGuarded(*workload, grid, params, IngestPolicy::kStrict, clean));
-  add_row("guard kDrop (clean)",
-          RunGuarded(*workload, grid, params, IngestPolicy::kDrop, clean));
+          RunGuarded(*workload, grid, params,
+                     IngestOptions{IngestPolicy::kStrict}, clean));
+  add_row("guard kBuffer, horizon 0 (clean)",
+          RunGuarded(*workload, grid, params,
+                     IngestOptions{IngestPolicy::kBuffer, 0}, clean));
   add_row("guard kBuffer (clean)",
-          RunGuarded(*workload, grid, params, IngestPolicy::kBuffer, clean));
+          RunGuarded(*workload, grid, params, buffer, clean));
   const RunResult hostile =
-      RunGuarded(*workload, grid, params, IngestPolicy::kBuffer, mangled);
+      RunGuarded(*workload, grid, params, buffer, mangled);
   add_row("guard kBuffer (mangled)", hostile);
 
   bench::EmitTable("robust_ingest", table);

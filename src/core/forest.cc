@@ -103,11 +103,18 @@ const std::vector<AtypicalCluster>& AtypicalForest::MicrosOfDay(int day) const {
 std::vector<const AtypicalCluster*> AtypicalForest::MicrosInRange(
     const DayRange& range) const {
   std::vector<const AtypicalCluster*> out;
+  AppendMicrosInRange(range, &out);
+  return out;
+}
+
+size_t AtypicalForest::AppendMicrosInRange(
+    const DayRange& range, std::vector<const AtypicalCluster*>* out) const {
+  const size_t before = out->size();
   for (auto it = days_.lower_bound(range.first_day);
        it != days_.end() && it->first <= range.last_day; ++it) {
-    for (const AtypicalCluster& c : *it->second.micros) out.push_back(&c);
+    for (const AtypicalCluster& c : *it->second.micros) out->push_back(&c);
   }
-  return out;
+  return out->size() - before;
 }
 
 std::map<ClusterId, double> AtypicalForest::MicroSeverities(
@@ -119,14 +126,32 @@ std::map<ClusterId, double> AtypicalForest::MicroSeverities(
   return out;
 }
 
-std::vector<AtypicalCluster> AtypicalForest::IntegrateRange(
-    const DayRange& range) {
-  std::vector<AtypicalCluster> input;
-  for (const AtypicalCluster* micro : MicrosInRange(range)) {
-    input.push_back(WithTemporalKeyMode(*micro, grid_,
-                                        TemporalKeyMode::kTimeOfDay));
+size_t AtypicalForest::MaterializeLevel(
+    const std::function<int(int)>& unit_of_day, Level* level) {
+  std::map<int, DayRange> units;
+  for (const auto& [day, _] : days_) {
+    auto [it, inserted] = units.emplace(unit_of_day(day), DayRange{day, day});
+    if (!inserted) {
+      it->second.first_day = std::min(it->second.first_day, day);
+      it->second.last_day = std::max(it->second.last_day, day);
+    }
   }
-  return IntegrateClusters(std::move(input), params_.integration, &ids_);
+  level->macros.clear();
+  size_t built = 0;
+  for (const auto& [unit, range] : units) {
+    std::vector<AtypicalCluster> input;
+    for (const AtypicalCluster* micro : MicrosInRange(range)) {
+      input.push_back(WithTemporalKeyMode(*micro, grid_,
+                                          TemporalKeyMode::kTimeOfDay));
+    }
+    std::vector<AtypicalCluster> macros =
+        IntegrateClusters(std::move(input), params_.integration, &ids_);
+    built += macros.size();
+    level->macros.emplace(
+        unit, std::make_shared<Block::element_type>(std::move(macros)));
+  }
+  level->version = ++version_;
+  return built;
 }
 
 size_t AtypicalForest::MaterializeWeeks() {
@@ -135,25 +160,8 @@ size_t AtypicalForest::MaterializeWeeks() {
   static obs::Histogram* const seconds =
       obs::Registry()->GetHistogram("forest.materialize_weeks_seconds");
   obs::TraceSpan span(seconds);
-  macros_by_week_.clear();
-  std::map<int, DayRange> weeks;
-  for (const auto& [day, _] : days_) {
-    auto [it, inserted] =
-        weeks.emplace(cube::WeekOfDay(day), DayRange{day, day});
-    if (!inserted) {
-      it->second.first_day = std::min(it->second.first_day, day);
-      it->second.last_day = std::max(it->second.last_day, day);
-    }
-  }
-  size_t built = 0;
-  for (const auto& [week, range] : weeks) {
-    std::vector<AtypicalCluster> macros = IntegrateRange(range);
-    built += macros.size();
-    macros_by_week_.emplace(
-        week, std::make_shared<Block::element_type>(std::move(macros)));
-  }
-  weeks_version_ = ++version_;
-  weeks_materialized->Add(macros_by_week_.size());
+  const size_t built = MaterializeLevel(cube::WeekOfDay, &weeks_);
+  weeks_materialized->Add(weeks_.macros.size());
   return built;
 }
 
@@ -164,53 +172,33 @@ size_t AtypicalForest::MaterializeMonths(int days_per_month) {
   static obs::Histogram* const seconds =
       obs::Registry()->GetHistogram("forest.materialize_months_seconds");
   obs::TraceSpan span(seconds);
-  month_days_ = days_per_month;
-  macros_by_month_.clear();
-  std::map<int, DayRange> months;
-  for (const auto& [day, _] : days_) {
-    const int month = cube::MonthOfDay(day, days_per_month);
-    auto [it, inserted] = months.emplace(month, DayRange{day, day});
-    if (!inserted) {
-      it->second.first_day = std::min(it->second.first_day, day);
-      it->second.last_day = std::max(it->second.last_day, day);
-    }
-  }
-  size_t built = 0;
-  for (const auto& [month, range] : months) {
-    std::vector<AtypicalCluster> macros = IntegrateRange(range);
-    built += macros.size();
-    macros_by_month_.emplace(
-        month, std::make_shared<Block::element_type>(std::move(macros)));
-  }
-  months_version_ = ++version_;
-  months_materialized->Add(macros_by_month_.size());
+  const size_t built = MaterializeLevel(
+      [days_per_month](int day) {
+        return cube::MonthOfDay(day, days_per_month);
+      },
+      &months_);
+  months_materialized->Add(months_.macros.size());
   return built;
 }
 
 const std::vector<AtypicalCluster>& AtypicalForest::MacrosOfWeek(
     int week) const {
-  const auto it = macros_by_week_.find(week);
-  CHECK(it != macros_by_week_.end()) << "week " << week << " not materialized";
+  const auto it = weeks_.macros.find(week);
+  CHECK(it != weeks_.macros.end()) << "week " << week << " not materialized";
   return *it->second;
 }
 
 const std::vector<AtypicalCluster>& AtypicalForest::MacrosOfMonth(
     int month) const {
-  const auto it = macros_by_month_.find(month);
-  CHECK(it != macros_by_month_.end())
+  const auto it = months_.macros.find(month);
+  CHECK(it != months_.macros.end())
       << "month " << month << " not materialized";
   return *it->second;
 }
 
-std::vector<int> AtypicalForest::MaterializedWeeks() const {
-  std::vector<int> weeks;
-  for (const auto& [week, _] : macros_by_week_) weeks.push_back(week);
-  return weeks;
-}
-
 std::vector<int> AtypicalForest::MaterializedMonths() const {
   std::vector<int> months;
-  for (const auto& [month, _] : macros_by_month_) months.push_back(month);
+  for (const auto& [month, _] : months_.macros) months.push_back(month);
   return months;
 }
 
@@ -234,34 +222,15 @@ void AtypicalForest::InstallDay(int day,
                     ++version_});
 }
 
-bool AtypicalForest::DaysMutatedSince(int first_day, int last_day,
-                                      uint64_t level_version) const {
-  for (auto it = days_.lower_bound(first_day);
-       it != days_.end() && it->first <= last_day; ++it) {
-    if (it->second.version > level_version) return true;
-  }
-  return false;
-}
-
-bool AtypicalForest::WeekIsStale(int week) const {
-  if (!macros_by_week_.contains(week)) return false;
-  return DaysMutatedSince(week * 7, week * 7 + 6, weeks_version_);
-}
-
-bool AtypicalForest::MonthIsStale(int month) const {
-  if (!macros_by_month_.contains(month) || month_days_ <= 0) return false;
-  const int first = month * month_days_;
-  return DaysMutatedSince(first, first + month_days_ - 1, months_version_);
-}
-
 uint64_t AtypicalForest::ByteSize() const {
   uint64_t bytes = 0;
   auto add = [&bytes](const Block& block) {
     for (const AtypicalCluster& c : *block) bytes += c.ByteSize();
   };
   for (const auto& [_, day] : days_) add(day.micros);
-  for (const auto& [_, block] : macros_by_week_) add(block);
-  for (const auto& [_, block] : macros_by_month_) add(block);
+  for (const Level* level : {&weeks_, &months_}) {
+    for (const auto& [_, block] : level->macros) add(block);
+  }
   return bytes;
 }
 
@@ -283,15 +252,15 @@ AtypicalForest AtypicalForest::EpochCopy(const AtypicalForest* previous,
                            old->second.version == leaves.version;
     leaves.micros = unchanged ? old->second.micros : copy(leaves.micros);
   }
-  if (previous != nullptr && previous->weeks_version_ == weeks_version_) {
-    epoch.macros_by_week_ = previous->macros_by_week_;
-  } else {
-    for (auto& [_, block] : epoch.macros_by_week_) block = copy(block);
-  }
-  if (previous != nullptr && previous->months_version_ == months_version_) {
-    epoch.macros_by_month_ = previous->macros_by_month_;
-  } else {
-    for (auto& [_, block] : epoch.macros_by_month_) block = copy(block);
+  // A level shares its blocks unless it was re-materialized since.
+  for (Level AtypicalForest::*level :
+       {&AtypicalForest::weeks_, &AtypicalForest::months_}) {
+    Level& now = epoch.*level;
+    if (previous != nullptr && (previous->*level).version == now.version) {
+      now.macros = (previous->*level).macros;
+    } else {
+      for (auto& [_, block] : now.macros) block = copy(block);
+    }
   }
   return epoch;
 }

@@ -8,6 +8,7 @@
 #ifndef ATYPICAL_CORE_FOREST_H_
 #define ATYPICAL_CORE_FOREST_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "core/integration.h"
 #include "cps/record.h"
 #include "cps/sensor_network.h"
-#include "util/hot_path.h"
 
 namespace atypical {
 
@@ -60,10 +60,7 @@ class AtypicalForest {
   // are appended to the day's leaf set.  Records split across batches are
   // not re-joined at the leaf — query-time integration merges similar
   // clusters — and materialized week/month levels are not refreshed; call
-  // MaterializeWeeks/MaterializeMonths again after late batches.  Until
-  // then the affected levels read as stale (WeekIsStale/MonthIsStale) and
-  // the query planner falls back to the day leaves instead of serving
-  // pre-batch macros.
+  // MaterializeWeeks/MaterializeMonths again after late batches.
   void AddDay(int day, const std::vector<AtypicalRecord>& records);
 
   // Groups `records` by day and adds each day (appending to days already
@@ -77,6 +74,10 @@ class AtypicalForest {
 
   // Leaf micro-clusters whose day falls in `range` (ascending day order).
   std::vector<const AtypicalCluster*> MicrosInRange(const DayRange& range) const;
+  // The same walk, appending to `out` (a query's reusable candidate
+  // buffer).  Returns the number of pointers appended.
+  size_t AppendMicrosInRange(const DayRange& range,
+                             std::vector<const AtypicalCluster*>* out) const;
 
   // Micro-cluster severities by id over `range` (evaluation support).
   std::map<ClusterId, double> MicroSeverities(const DayRange& range) const;
@@ -87,32 +88,12 @@ class AtypicalForest {
   size_t MaterializeWeeks();
   // Same per `days_per_month`-day month.
   size_t MaterializeMonths(int days_per_month);
-  // Month length used by MaterializeMonths; 0 when months were never
-  // materialized.
-  int month_days() const { return month_days_; }
 
-  bool HasWeek(int week) const { return macros_by_week_.contains(week); }
+  bool HasWeek(int week) const { return weeks_.macros.contains(week); }
   const std::vector<AtypicalCluster>& MacrosOfWeek(int week) const;
-  bool HasMonth(int month) const { return macros_by_month_.contains(month); }
+  bool HasMonth(int month) const { return months_.macros.contains(month); }
   const std::vector<AtypicalCluster>& MacrosOfMonth(int month) const;
-  std::vector<int> MaterializedWeeks() const;
   std::vector<int> MaterializedMonths() const;
-
-  // ---- mutation versioning ----
-  // Monotone counter bumped by every day mutation (AddDay / AddRecords /
-  // InstallDay) and every materialization, which stamps its level with the
-  // new version.  A materialized level whose covered days mutated afterwards
-  // is thus detectable as stale — the query planner must not serve its
-  // macros (QueryEngine skips them and counts
-  // query.stale_materialized_skipped).  Cube changes and
-  // RecordDayProvenance() leave the version alone, so it is no "anything
-  // changed since publish" signal.
-  //
-  // True when some day in the week's/month's span mutated after the level
-  // was last materialized.  Weeks/months that were never
-  // materialized are not stale — they are simply absent.
-  ATYPICAL_HOT bool WeekIsStale(int week) const;
-  ATYPICAL_HOT bool MonthIsStale(int month) const;
 
   // Installs a day's pre-built micro-clusters directly, bypassing
   // retrieval (e.g. leaves finalized by an IncrementalIntegrator).  The id
@@ -143,38 +124,37 @@ class AtypicalForest {
   // A day's leaves, or a week's or month's macros.  Mutations swap in a new
   // block and never write through one, so forest copies can share blocks.
   using Block = std::shared_ptr<const std::vector<AtypicalCluster>>;
+  // Version stamps (DESIGN §16): version_ counts day mutations and
+  // materializations; a day or level carries the version of its last
+  // change, so EpochCopy shares exactly the blocks that kept theirs.
   struct Day {
     Block micros;
     uint64_t version = 0;  // of the day's last mutation
   };
+  struct Level {
+    std::map<int, Block> macros;  // by week or month
+    uint64_t version = 0;         // of the level's last materialization
+  };
 
-  // Integrates the day-leaf micros of `range` after re-keying to
-  // time-of-day.
-  std::vector<AtypicalCluster> IntegrateRange(const DayRange& range);
+  // Replaces `level` with one block of macros per unit (week or month) of
+  // the stored days, each integrating its days' micros re-keyed to
+  // time-of-day, and stamps it.  Returns the number of macros built.
+  size_t MaterializeLevel(const std::function<int(int)>& unit_of_day,
+                          Level* level);
 
   // Moves the id generator past every id in `clusters`.
   void AdvanceIdsPast(const std::vector<AtypicalCluster>& clusters);
-
-  // Any day in [first_day, last_day] mutated after `level_version`?
-  bool DaysMutatedSince(int first_day, int last_day,
-                        uint64_t level_version) const;
 
   const SensorNetwork* network_;
   TimeGrid grid_;
   ForestParams params_;
   ClusterIdGenerator ids_;
   std::map<int, Day> days_;
-  std::map<int, Block> macros_by_week_;
-  std::map<int, Block> macros_by_month_;
+  Level weeks_;
+  Level months_;
   std::map<int, DayProvenance> provenance_by_day_;
   size_t num_micros_ = 0;
-  int month_days_ = 0;
-  // Mutation versioning: version_ counts day mutations and
-  // materializations, each Day holds the version of its last mutation, and
-  // the per-level stamps record the version the level was materialized at.
   uint64_t version_ = 0;
-  uint64_t weeks_version_ = 0;
-  uint64_t months_version_ = 0;
 };
 
 }  // namespace atypical

@@ -17,8 +17,6 @@ const char* IngestPolicyName(IngestPolicy policy) {
   switch (policy) {
     case IngestPolicy::kStrict:
       return "strict";
-    case IngestPolicy::kDrop:
-      return "drop";
     case IngestPolicy::kBuffer:
       return "buffer";
   }
@@ -124,22 +122,15 @@ QuarantineCause RobustStreamingEventBuilder::Add(const AtypicalRecord& record) {
 
   QuarantineCause cause = ClassifyFields(record);
   if (cause == QuarantineCause::kNone && has_watermark_) {
-    // Arrival-order checks.  Late is checked before duplicate: a record too
-    // old for admission is refused as late even if it also repeats one, so
+    // Arrival-order checks (under kStrict the inner builder's order CHECK
+    // is the contract).  Late is checked before duplicate: a record too old
+    // for admission is refused as late even if it also repeats one, so
     // every refusal maps to exactly one cause.
     const uint64_t horizon =
         static_cast<uint64_t>(options_.lateness_horizon_windows);
-    switch (options_.policy) {
-      case IngestPolicy::kStrict:
-        break;  // the inner builder's order CHECK is the strict contract
-      case IngestPolicy::kDrop:
-        if (record.window < watermark_) cause = QuarantineCause::kLate;
-        break;
-      case IngestPolicy::kBuffer:
-        if (static_cast<uint64_t>(record.window) + horizon < watermark_) {
-          cause = QuarantineCause::kLate;
-        }
-        break;
+    if (options_.policy == IngestPolicy::kBuffer &&
+        static_cast<uint64_t>(record.window) + horizon < watermark_) {
+      cause = QuarantineCause::kLate;
     }
   }
   if (cause == QuarantineCause::kNone &&

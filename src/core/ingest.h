@@ -10,11 +10,11 @@
 //     exceeding the window length, duplicate (sensor, window) pairs — are
 //     quarantined and never reach the builder;
 //   * out-of-order records are handled per `IngestPolicy`: `kStrict` dies
-//     exactly like the raw builder, `kDrop` quarantines them, `kBuffer`
-//     holds records in a bounded reorder buffer spanning
-//     `lateness_horizon_windows` and releases them in window order, so a
-//     stream permuted within the horizon produces exactly the clean-stream
-//     events (tested against batch retrieval);
+//     exactly like the raw builder, `kBuffer` holds records in a bounded
+//     reorder buffer spanning `lateness_horizon_windows` and releases them
+//     in window order, so a stream permuted within the horizon produces
+//     exactly the clean-stream events (tested against batch retrieval).
+//     At horizon 0 it quarantines every out-of-order record;
 //   * every outcome lands in exactly one `IngestStats` counter, and the
 //     counters always reconcile with the number of records fed.
 //
@@ -38,7 +38,6 @@ namespace atypical {
 
 enum class IngestPolicy : int8_t {
   kStrict,  // any quarantine verdict is fatal (the raw builder's contract)
-  kDrop,    // out-of-order records are quarantined; in-order ones flow through
   kBuffer,  // records late by at most the horizon are reordered and kept
 };
 

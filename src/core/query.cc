@@ -1,7 +1,5 @@
 #include "core/query.h"
 
-#include <algorithm>
-
 #include "core/temporal_key.h"
 #include "obs/stats.h"
 #include "util/logging.h"
@@ -37,66 +35,6 @@ QueryEngine::QueryEngine(const SensorNetwork* network,
   CHECK(measure != nullptr);
 }
 
-void QueryEngine::CollectCandidates(const DayRange& range, bool planned,
-                                    QueryScratch* scratch,
-                                    QueryCost* cost) const {
-  std::vector<const AtypicalCluster*>& candidates = scratch->candidates;
-  candidates.clear();
-  std::vector<uint8_t>& covered = scratch->covered_days;
-  covered.assign(static_cast<size_t>(std::max(0, range.NumDays())), 0);
-  auto all_uncovered = [&](int first, int last) {
-    if (first < range.first_day || last > range.last_day) return false;
-    for (int day = first; day <= last; ++day) {
-      if (covered[day - range.first_day]) return false;
-    }
-    return true;
-  };
-  auto add_level = [&](int first, int last,
-                       const std::vector<AtypicalCluster>& macros) {
-    for (const AtypicalCluster& c : macros) candidates.push_back(&c);
-    for (int day = first; day <= last; ++day) {
-      covered[day - range.first_day] = 1;
-    }
-    cost->materialized_inputs += macros.size();
-    cost->days_from_materialized += last - first + 1;
-  };
-
-  // Months first (largest pre-integrated units), then weeks.  A level whose
-  // covered days mutated after it was built (late AddRecords batch) would
-  // serve stale macros; the forest's versioning detects that, the planner
-  // skips the level, and the days fall through to the leaf loop below.
-  if (planned) {
-    const int month_days = forest_->month_days();
-    for (int month : forest_->MaterializedMonths()) {
-      const int first = month * month_days;
-      const int last = first + month_days - 1;
-      if (!all_uncovered(first, last)) continue;
-      if (forest_->MonthIsStale(month)) {
-        ++cost->stale_materialized_skipped;
-        continue;
-      }
-      add_level(first, last, forest_->MacrosOfMonth(month));
-    }
-    for (int week : forest_->MaterializedWeeks()) {
-      const int first = week * 7;
-      const int last = first + 6;
-      if (!all_uncovered(first, last)) continue;
-      if (forest_->WeekIsStale(week)) {
-        ++cost->stale_materialized_skipped;
-        continue;
-      }
-      add_level(first, last, forest_->MacrosOfWeek(week));
-    }
-  }
-  // Leaf days for the remainder.
-  for (int day = range.first_day; day <= range.last_day; ++day) {
-    if (covered[day - range.first_day] || !forest_->HasDay(day)) continue;
-    const std::vector<AtypicalCluster>& micros = forest_->MicrosOfDay(day);
-    for (const AtypicalCluster& micro : micros) candidates.push_back(&micro);
-    cost->micro_clusters_in_range += micros.size();
-  }
-}
-
 QueryResult QueryEngine::Run(const AnalyticalQuery& query,
                              QueryStrategy strategy) const {
   QueryScratch scratch;
@@ -111,7 +49,7 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
   if (query.days.NumDays() <= 0) {
     // Empty or inverted T: the query covers no days, so the answer is the
     // default-constructed result — no clusters, zero threshold, zero cost.
-    // Returning early (instead of planning over a zero-length range) keeps
+    // Returning early (instead of walking a zero-length range) keeps
     // the threshold consistent with the empty evidence set.
     static obs::Counter* const empty_range =
         obs::Registry()->GetCounter("query.empty_range");
@@ -124,12 +62,11 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
       SignificanceThreshold(options_.significance, query.days,
                             forest_->time_grid(), result.num_sensors_in_w);
 
-  // Pru/Gui prune at micro granularity, so the materialized plan is only
-  // sound for All.
-  const bool planned =
-      options_.use_materialized_levels && strategy == QueryStrategy::kAll;
-  CollectCandidates(query.days, planned, scratch, &result.cost);
+  // Every leaf micro-cluster of T is a candidate; nothing is copied yet.
   std::vector<const AtypicalCluster*>& candidates = scratch->candidates;
+  candidates.clear();
+  result.cost.micro_clusters_in_range =
+      forest_->AppendMicrosInRange(query.days, &candidates);
 
   // The filters are independent and each keeps order, so their order
   // changes no answer.  The strategy's runs first: Pru's O(1) significance
@@ -165,8 +102,7 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
                            cube::RedZoneFilterMode::kKeepIntersecting,
                            &candidates);
 
-  // Only the survivors are copied, re-keyed to time-of-day (a plain copy
-  // for a materialized macro, which is already in that form).
+  // Only the survivors are copied, re-keyed to time-of-day.
   result.cost.input_micro_clusters = candidates.size();
   std::vector<AtypicalCluster> inputs;
   inputs.reserve(candidates.size());
@@ -212,12 +148,6 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
       obs::Registry()->GetCounter("query.input_micro_clusters");
   static obs::Counter* const obs_in_range =
       obs::Registry()->GetCounter("query.micro_clusters_in_range");
-  static obs::Counter* const obs_materialized =
-      obs::Registry()->GetCounter("query.materialized_inputs");
-  static obs::Counter* const obs_materialized_days =
-      obs::Registry()->GetCounter("query.days_from_materialized");
-  static obs::Counter* const obs_stale_skipped =
-      obs::Registry()->GetCounter("query.stale_materialized_skipped");
   static obs::Counter* const obs_clusters_out =
       obs::Registry()->GetCounter("query.clusters_out");
   static obs::Histogram* const obs_seconds =
@@ -228,10 +158,6 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
   if (!completeness.complete()) obs_degraded->Add(1);
   obs_inputs->Add(result.cost.input_micro_clusters);
   obs_in_range->Add(result.cost.micro_clusters_in_range);
-  obs_materialized->Add(result.cost.materialized_inputs);
-  obs_materialized_days->Add(
-      static_cast<uint64_t>(std::max(0, result.cost.days_from_materialized)));
-  obs_stale_skipped->Add(result.cost.stale_materialized_skipped);
   obs_clusters_out->Add(result.clusters.size());
   obs_seconds->Record(result.cost.seconds);
   return result;

@@ -55,14 +55,6 @@ struct QueryCost {
   size_t micro_clusters_in_range = 0;
   size_t red_zones = 0;
   size_t regions_checked = 0;
-  // Materialized-plan accounting: pre-integrated inputs used instead of
-  // day micro-clusters, and the days they covered.
-  size_t materialized_inputs = 0;
-  int days_from_materialized = 0;
-  // Materialized levels the planner refused because a late batch mutated a
-  // covered day after the level was built (forest versioning; the level
-  // would have served stale macros).  The skipped days fall back to leaves.
-  size_t stale_materialized_skipped = 0;
   IntegrationStats integration;
 };
 
@@ -109,13 +101,6 @@ struct QueryEngineOptions {
   // integration.  Off by default to mirror the paper's experimental setup
   // ("this procedure is turned off in the experiments for a fair play").
   bool post_check_significance = false;
-  // Use the forest's materialized weekly/monthly macro-clusters when they
-  // fully cover part of the query range: months first, then weeks, then
-  // leaf days for the remainder.  Severity mass is identical either way
-  // (the features are algebraic); only the integration input shrinks.
-  // Only sound for All queries — Pru/Gui prune at micro granularity — so
-  // other strategies ignore it.
-  bool use_materialized_levels = false;
 };
 
 // Caller-owned reusable buffers for QueryEngine::Run (DESIGN §15).  A
@@ -128,11 +113,9 @@ struct QueryScratch {
   // red zone.  Filters test a spatial entry with one load.
   std::vector<uint8_t> in_w;
   std::vector<uint8_t> in_red;
-  // Per day of T, 1 if a materialized level already covers it.
-  std::vector<uint8_t> covered_days;
-  // Integration candidates as pointers into the forest's immutable clusters:
-  // materialized macros first, then leaf micros in day order.  The filters
-  // erase from it; only the survivors are ever copied.
+  // Integration candidates as pointers into the forest's immutable leaf
+  // micro-clusters, in day order.  The filters erase from it; only the
+  // survivors are ever copied.
   std::vector<const AtypicalCluster*> candidates;
 };
 
@@ -167,14 +150,6 @@ class QueryEngine {
                                QueryScratch* scratch) const;
 
  private:
-  // Fills scratch->candidates with pointers to the clusters covering T:
-  // with `planned`, the materialized months, then weeks, then the leaf
-  // micros of the days they leave uncovered; otherwise every leaf micro in
-  // T.  Nothing is copied or filtered here.
-  ATYPICAL_HOT void CollectCandidates(const DayRange& range, bool planned,
-                                      QueryScratch* scratch,
-                                      QueryCost* cost) const;
-
   const SensorNetwork* network_;
   const RegionGrid* regions_;
   const AtypicalForest* forest_;

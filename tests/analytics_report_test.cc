@@ -20,7 +20,6 @@ TEST(DefaultParamsTest, MatchPaperDefaults) {
 
   const QueryEngineOptions options = DefaultEngineOptions();
   EXPECT_FALSE(options.post_check_significance);
-  EXPECT_FALSE(options.use_materialized_levels);
 }
 
 TEST(BuildContextTest, BuildsAConsistentStack) {

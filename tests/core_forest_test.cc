@@ -1,35 +1,16 @@
 #include "core/forest.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "analytics/report.h"
+#include "cluster_digest.h"
 #include "gen/workload.h"
 
 namespace atypical {
 namespace {
-
-// Order-sensitive digest of a block of clusters: ids, lineage, record
-// counts and every feature entry's key and severity bits.
-uint64_t Digest(const std::vector<AtypicalCluster>& clusters) {
-  uint64_t h = 1469598103934665603ULL;
-  auto fold = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
-  for (const AtypicalCluster& c : clusters) {
-    fold(c.id);
-    for (ClusterId micro : c.micro_ids) fold(micro);
-    fold(static_cast<uint64_t>(c.num_records));
-    for (const FeatureVector* f : {&c.spatial, &c.temporal}) {
-      for (const FeatureVector::Entry& e : f->entries()) {
-        fold(e.key);
-        fold(std::bit_cast<uint64_t>(e.severity));
-      }
-    }
-  }
-  return h;
-}
 
 class ForestTest : public ::testing::Test {
  protected:
@@ -322,7 +303,6 @@ TEST_F(ForestTest, RematerializeDoesNotReachPublishedEpoch) {
   EXPECT_EQ(Digest(e2.MacrosOfWeek(0)), Digest(forest_.MacrosOfWeek(0)));
   EXPECT_NE(Digest(e2.MacrosOfWeek(0)), week);
   EXPECT_EQ(Digest(e2.MacrosOfMonth(0)), Digest(forest_.MacrosOfMonth(0)));
-  EXPECT_FALSE(e2.WeekIsStale(0));
 
   const AtypicalForest e3 = forest_.EpochCopy(&e2, &copied);
   EXPECT_EQ(copied, 11u);  // nothing changed

@@ -193,9 +193,10 @@ TEST_F(IngestTest, BufferQuarantinesBeyondHorizonAsLate) {
   EXPECT_TRUE(stats.Reconciles());
 }
 
-TEST_F(IngestTest, DropPolicyDropsAnyOutOfOrderRecord) {
+TEST_F(IngestTest, ZeroHorizonDropsAnyOutOfOrderRecord) {
   IngestOptions options;
-  options.policy = IngestPolicy::kDrop;
+  options.policy = IngestPolicy::kBuffer;
+  options.lateness_horizon_windows = 0;
   IngestStats stats;
   const std::vector<AtypicalRecord> feed = {
       {0, 100, 5.0f, kNoEvent},
@@ -234,7 +235,8 @@ TEST_F(IngestTest, BufferedRecordsDrainOnFlush) {
 
 TEST_F(IngestTest, QuarantineLogRecordsCauses) {
   IngestOptions options;
-  options.policy = IngestPolicy::kDrop;
+  options.policy = IngestPolicy::kBuffer;
+  options.lateness_horizon_windows = 0;
   ClusterIdGenerator ids(1);
   RobustStreamingEventBuilder guard(
       workload_->sensors.get(), grid_, params_, &ids, [](AtypicalCluster) {},

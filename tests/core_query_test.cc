@@ -178,6 +178,33 @@ TEST_F(QueryEngineTest, EmptyRangeYieldsEmptyResult) {
   EXPECT_EQ(result.cost.input_micro_clusters, 0u);
 }
 
+// An empty or inverted day range covers no days: Run returns the
+// default-constructed QueryResult (see QueryEngine::Run).
+void ExpectDefaultResult(const QueryResult& result) {
+  EXPECT_TRUE(result.clusters.empty());
+  EXPECT_EQ(result.num_sensors_in_w, 0);
+  EXPECT_DOUBLE_EQ(result.threshold, 0.0);
+  EXPECT_EQ(result.cost.input_micro_clusters, 0u);
+  EXPECT_EQ(result.cost.micro_clusters_in_range, 0u);
+  EXPECT_EQ(result.cost.red_zones, 0u);
+  EXPECT_EQ(result.cost.regions_checked, 0u);
+}
+
+TEST_F(QueryEngineTest, EmptyRangeReturnsDefaultResult) {
+  AnalyticalQuery query = ctx_->WholeAreaQuery(14);
+  query.days = DayRange{};  // default {0, -1}: NumDays() == 0
+  ExpectDefaultResult(Engine().Run(query, QueryStrategy::kAll));
+}
+
+TEST_F(QueryEngineTest, InvertedRangeReturnsDefaultResult) {
+  AnalyticalQuery query = ctx_->WholeAreaQuery(14);
+  query.days = DayRange{9, 2};  // NumDays() < 0
+  for (const QueryStrategy strategy :
+       {QueryStrategy::kAll, QueryStrategy::kPrune, QueryStrategy::kGuided}) {
+    ExpectDefaultResult(Engine().Run(query, strategy));
+  }
+}
+
 TEST_F(QueryEngineTest, ResultsUseTimeOfDayKeys) {
   const QueryResult result =
       Engine().Run(ctx_->WholeAreaQuery(14), QueryStrategy::kAll);
@@ -252,15 +279,13 @@ TEST_F(QueryEngineTest, ResultIdsIndependentOfPriorQueries) {
 // Run() filters pointers and copies only the survivors; the reference in
 // query_reference.h copies every in-range cluster first and filters copies.
 // Both must give the same answer bit for bit, ids included, under every
-// strategy, red-zone mode and plan setting.
+// strategy and red-zone mode.
 class PrepareOracleTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ctx_ = analytics::BuildContext(WorkloadScale::kTiny, 2,
                                    analytics::DefaultForestParams(), 41)
                .release();
-    ctx_->forest->MaterializeWeeks();
-    ctx_->forest->MaterializeMonths(ctx_->days_per_month());
   }
   static void TearDownTestSuite() {
     delete ctx_;
@@ -329,58 +354,49 @@ TEST_F(PrepareOracleTest, RunMatchesCopyThenFilterReference) {
   QueryScratch scratch;
   size_t filtered = 0;
   size_t guided_without_red = 0;
-  size_t planned_with_macros = 0;
-  for (const bool planned : {false, true}) {
-    for (const cube::RedZoneFilterMode mode :
-         {cube::RedZoneFilterMode::kKeepIntersecting,
-          cube::RedZoneFilterMode::kKeepContained}) {
-      QueryEngineOptions options = analytics::DefaultEngineOptions();
-      options.integration = ctx_->forest_params.integration;
-      options.use_materialized_levels = planned;
-      options.red_zone_mode = mode;
-      const QueryEngine engine = ctx_->MakeEngine(options);
-      for (const QueryStrategy strategy :
-           {QueryStrategy::kAll, QueryStrategy::kPrune,
-            QueryStrategy::kGuided}) {
-        for (size_t q = 0; q < queries.size(); ++q) {
-          SCOPED_TRACE(testing::Message()
-                       << "planned=" << planned << " mode="
-                       << static_cast<int>(mode) << " strategy="
-                       << QueryStrategyName(strategy) << " query=" << q);
-          const QueryResult got = engine.Run(queries[q], strategy, &scratch);
-          const reference::QueryAnswer want = reference::RunQuery(
-              ctx_->network(), ctx_->regions(), *ctx_->forest, ctx_->measure,
-              options, queries[q], strategy);
-          EXPECT_EQ(std::bit_cast<uint64_t>(got.threshold),
-                    std::bit_cast<uint64_t>(want.threshold));
-          EXPECT_EQ(got.cost.input_micro_clusters, want.input_micro_clusters);
-          EXPECT_EQ(got.cost.micro_clusters_in_range,
-                    want.micro_clusters_in_range);
-          EXPECT_EQ(got.cost.red_zones, want.red_zones);
-          EXPECT_EQ(got.cost.regions_checked, want.regions_checked);
-          ASSERT_EQ(got.clusters.size(), want.clusters.size());
-          for (size_t i = 0; i < got.clusters.size(); ++i) {
-            ExpectBitIdentical(got.clusters[i], want.clusters[i]);
-          }
-          if (got.cost.input_micro_clusters <
-              got.cost.micro_clusters_in_range) {
-            ++filtered;
-          }
-          if (strategy == QueryStrategy::kGuided &&
-              got.cost.micro_clusters_in_range > 0 &&
-              got.cost.red_zones == 0) {
-            ++guided_without_red;
-          }
-          if (got.cost.materialized_inputs > 0) ++planned_with_macros;
+  for (const cube::RedZoneFilterMode mode :
+       {cube::RedZoneFilterMode::kKeepIntersecting,
+        cube::RedZoneFilterMode::kKeepContained}) {
+    QueryEngineOptions options = analytics::DefaultEngineOptions();
+    options.integration = ctx_->forest_params.integration;
+    options.red_zone_mode = mode;
+    const QueryEngine engine = ctx_->MakeEngine(options);
+    for (const QueryStrategy strategy :
+         {QueryStrategy::kAll, QueryStrategy::kPrune,
+          QueryStrategy::kGuided}) {
+      for (size_t q = 0; q < queries.size(); ++q) {
+        SCOPED_TRACE(testing::Message()
+                     << "mode=" << static_cast<int>(mode) << " strategy="
+                     << QueryStrategyName(strategy) << " query=" << q);
+        const QueryResult got = engine.Run(queries[q], strategy, &scratch);
+        const reference::QueryAnswer want = reference::RunQuery(
+            ctx_->network(), ctx_->regions(), *ctx_->forest, ctx_->measure,
+            options, queries[q], strategy);
+        EXPECT_EQ(std::bit_cast<uint64_t>(got.threshold),
+                  std::bit_cast<uint64_t>(want.threshold));
+        EXPECT_EQ(got.cost.input_micro_clusters, want.input_micro_clusters);
+        EXPECT_EQ(got.cost.micro_clusters_in_range,
+                  want.micro_clusters_in_range);
+        EXPECT_EQ(got.cost.red_zones, want.red_zones);
+        EXPECT_EQ(got.cost.regions_checked, want.regions_checked);
+        ASSERT_EQ(got.clusters.size(), want.clusters.size());
+        for (size_t i = 0; i < got.clusters.size(); ++i) {
+          ExpectBitIdentical(got.clusters[i], want.clusters[i]);
+        }
+        if (got.cost.input_micro_clusters < got.cost.micro_clusters_in_range) {
+          ++filtered;
+        }
+        if (strategy == QueryStrategy::kGuided &&
+            got.cost.micro_clusters_in_range > 0 && got.cost.red_zones == 0) {
+          ++guided_without_red;
         }
       }
     }
   }
-  // The cases are not vacuous: filters dropped clusters, some Gui query
-  // over stored data found no red zone, and the plan served macros.
+  // The cases are not vacuous: filters dropped clusters, and some Gui query
+  // over stored data found no red zone.
   EXPECT_GT(filtered, 0u);
   EXPECT_GT(guided_without_red, 0u);
-  EXPECT_GT(planned_with_macros, 0u);
 }
 
 }  // namespace

@@ -123,7 +123,7 @@ TEST_F(EndToEndTest, PruneTradesRecallForPrecision) {
             all.cost.input_micro_clusters * 3 / 4);
 }
 
-TEST_F(EndToEndTest, WeeklyQueriesAgreeWithMaterializedWeeks) {
+TEST_F(EndToEndTest, WeeklyQueriesAgreeWithWeekMacros) {
   // Integrating day micros online must conserve severity mass exactly as
   // offline materialization does.
   forest_->MaterializeWeeks();

@@ -31,14 +31,13 @@ bool operator==(const RunOutcome& a, const RunOutcome& b) {
 }
 
 // Builds one tiny month, materializes weeks, answers the whole-area query
-// through the materialized plan.  Deterministic per seed.
+// from the day leaves.  Deterministic per seed.
 RunOutcome RunPipeline(uint64_t seed) {
   const auto ctx = analytics::BuildContext(
       WorkloadScale::kTiny, 1, analytics::DefaultForestParams(), seed);
   ctx->forest->MaterializeWeeks();
-  QueryEngineOptions options = analytics::DefaultEngineOptions();
-  options.use_materialized_levels = true;
-  const QueryEngine engine = ctx->MakeEngine(options);
+  const QueryEngine engine =
+      ctx->MakeEngine(analytics::DefaultEngineOptions());
   const QueryResult result =
       engine.Run(ctx->WholeAreaQuery(7), QueryStrategy::kAll);
 

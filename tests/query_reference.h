@@ -1,8 +1,7 @@
 // Literal reference for QueryEngine::Run's prepare phase, as it stood
-// before prepare moved to pointers: every in-range micro (or, planned,
-// every materialized macro and leftover leaf micro) is copied and re-keyed
-// to time-of-day first, and the area, Pru and Gui filters then drop
-// copies by value.  The survivors go to IntegrateClusters with a
+// before prepare moved to pointers: every in-range micro is copied and
+// re-keyed to time-of-day first, and the area, Pru and Gui filters then
+// drop copies by value.  The survivors go to IntegrateClusters with a
 // kQueryMacroIdBase generator, exactly as Run() does.  Tests check Run()
 // against it bit for bit; nothing in src/ uses it.
 #ifndef ATYPICAL_TESTS_QUERY_REFERENCE_H_
@@ -61,52 +60,6 @@ inline std::vector<AtypicalCluster> FilterByRedZones(
   return clusters;
 }
 
-// Months, then weeks, then leaf days for the rest, each input copied.
-inline std::vector<AtypicalCluster> PlannedInputs(const AtypicalForest& forest,
-                                                  const DayRange& range,
-                                                  QueryAnswer* answer) {
-  std::vector<bool> covered(static_cast<size_t>(range.NumDays()), false);
-  auto all_uncovered = [&](int first, int last) {
-    if (first < range.first_day || last > range.last_day) return false;
-    for (int day = first; day <= last; ++day) {
-      if (covered[day - range.first_day]) return false;
-    }
-    return true;
-  };
-  auto take = [&](int first, int last,
-                  const std::vector<AtypicalCluster>& macros,
-                  std::vector<AtypicalCluster>* inputs) {
-    for (const AtypicalCluster& c : macros) inputs->push_back(c);
-    for (int day = first; day <= last; ++day) {
-      covered[day - range.first_day] = true;
-    }
-  };
-  std::vector<AtypicalCluster> inputs;
-  if (forest.month_days() > 0) {
-    for (int month : forest.MaterializedMonths()) {
-      const int first = month * forest.month_days();
-      const int last = first + forest.month_days() - 1;
-      if (!all_uncovered(first, last) || forest.MonthIsStale(month)) continue;
-      take(first, last, forest.MacrosOfMonth(month), &inputs);
-    }
-  }
-  for (int week : forest.MaterializedWeeks()) {
-    const int first = week * 7;
-    const int last = first + 6;
-    if (!all_uncovered(first, last) || forest.WeekIsStale(week)) continue;
-    take(first, last, forest.MacrosOfWeek(week), &inputs);
-  }
-  for (int day = range.first_day; day <= range.last_day; ++day) {
-    if (covered[day - range.first_day] || !forest.HasDay(day)) continue;
-    for (const AtypicalCluster& micro : forest.MicrosOfDay(day)) {
-      ++answer->micro_clusters_in_range;
-      inputs.push_back(WithTemporalKeyMode(micro, forest.time_grid(),
-                                           TemporalKeyMode::kTimeOfDay));
-    }
-  }
-  return inputs;
-}
-
 // Q(W, T) under `strategy`: copy everything in range, then filter.
 inline QueryAnswer RunQuery(const SensorNetwork& network,
                             const RegionGrid& regions,
@@ -123,14 +76,10 @@ inline QueryAnswer RunQuery(const SensorNetwork& network,
       static_cast<int>(in_w.size()));
 
   std::vector<AtypicalCluster> micros;
-  if (options.use_materialized_levels && strategy == QueryStrategy::kAll) {
-    micros = PlannedInputs(forest, query.days, &answer);
-  } else {
-    for (const AtypicalCluster* micro : forest.MicrosInRange(query.days)) {
-      ++answer.micro_clusters_in_range;
-      micros.push_back(WithTemporalKeyMode(*micro, forest.time_grid(),
-                                           TemporalKeyMode::kTimeOfDay));
-    }
+  for (const AtypicalCluster* micro : forest.MicrosInRange(query.days)) {
+    ++answer.micro_clusters_in_range;
+    micros.push_back(WithTemporalKeyMode(*micro, forest.time_grid(),
+                                         TemporalKeyMode::kTimeOfDay));
   }
   std::erase_if(micros, [&](const AtypicalCluster& c) {
     return !TouchesArea(c, in_w);

@@ -2,10 +2,12 @@
 // mix (shifting day ranges, All/Pru/Gui in rotation) while the writer keeps
 // staging new days, re-materializing levels and publishing epochs.  Every
 // reply must be bit-identical to a direct single-threaded engine run on the
-// reply's own snapshot.  Run under ThreadSanitizer (the tsan CI job runs
-// the whole ctest suite, then this test repeatedly) this is the data-race
-// proof for the serving layer; in a plain build it still verifies the
-// served-equals-direct contract under real concurrency.
+// reply's own snapshot, and every served week-level block must read the
+// same twice while the writer rebuilds the staging levels.  Run under
+// ThreadSanitizer (the tsan CI job runs the whole ctest suite, then this
+// test repeatedly) this is the data-race proof for the serving layer; in a
+// plain build it still verifies the served-equals-direct contract under
+// real concurrency.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "analytics/report.h"
+#include "cluster_digest.h"
 #include "serve/query_service.h"
 #include "serve_test_util.h"
 
@@ -27,11 +30,7 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
   const std::unique_ptr<analytics::ExperimentContext> ctx =
       analytics::BuildContext(WorkloadScale::kTiny, 2,
                               analytics::DefaultForestParams(), 37);
-  // Materialized planning on: planned All queries race level rebuilds too,
-  // and stay deterministic because each snapshot freezes the levels.
-  QueryEngineOptions engine_options = analytics::DefaultEngineOptions();
-  engine_options.use_materialized_levels = true;
-  auto serving = MakeServing(*ctx, engine_options);
+  auto serving = MakeServing(*ctx, analytics::DefaultEngineOptions());
 
   // Split the generated records by day so the writer can drip them in.
   std::map<int, std::vector<AtypicalRecord>> by_day;
@@ -42,11 +41,13 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
     }
   }
 
-  // Seed the first day so readers have data from the start.
+  // Seed the first day and its week so readers have data and a level from
+  // the start.
   auto day_it = by_day.begin();
   ASSERT_NE(day_it, by_day.end());
   serving->staging_forest()->AddDay(day_it->first, day_it->second);
   ++day_it;
+  serving->staging_forest()->MaterializeWeeks();
   serving->PublishSnapshot();
 
   QueryService service(serving.get());
@@ -54,6 +55,8 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
   constexpr int kReaders = 4;
   constexpr int kQueriesPerReader = 150;
   std::atomic<int> mismatches{0};
+  std::atomic<int> level_mismatches{0};
+  std::atomic<int> level_reads{0};
   std::atomic<bool> writer_done{false};
 
   std::vector<std::thread> readers;
@@ -82,13 +85,25 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
         if (!BitIdentical(*reply.result, direct)) {
           mismatches.fetch_add(1, std::memory_order_relaxed);
         }
+
+        // The served epoch's week blocks, shared with later epochs until a
+        // rebuild, must not change under a reader.
+        const AtypicalForest& forest = *reply.snapshot->forest;
+        for (int week = 0; week <= query.days.last_day / 7; ++week) {
+          if (!forest.HasWeek(week)) continue;
+          const uint64_t first = Digest(forest.MacrosOfWeek(week));
+          if (Digest(forest.MacrosOfWeek(week)) != first) {
+            level_mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+          level_reads.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     });
   }
 
   std::thread writer([&] {
     // Drip the remaining days in, re-materializing every few publishes so
-    // readers race against level rebuilds too.
+    // readers' week reads race level rebuilds.
     int publishes = 0;
     for (; day_it != by_day.end(); ++day_it) {
       serving->staging_forest()->AddDay(day_it->first, day_it->second);
@@ -104,6 +119,8 @@ TEST(ServePoundingTest, ReadersStayConsistentWhileWriterPublishes) {
   writer.join();
 
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(level_mismatches.load(), 0);
+  EXPECT_GT(level_reads.load(), 0);
   EXPECT_TRUE(writer_done.load());
   EXPECT_GT(serving->current_epoch(), 1u);
 }
