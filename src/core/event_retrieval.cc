@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "core/streaming.h"
 #include "obs/stats.h"
-#include "util/hash_perturb.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 
@@ -78,8 +76,8 @@ AtypicalCluster BuildMicroCluster(const std::vector<AtypicalRecord>& records,
 
   int first_day = INT32_MAX;
   int last_day = INT32_MIN;
-  std::unordered_map<EventId, double> label_mass;
-  PerturbedReserve(label_mass, event.size());
+  // Mass per generator label, sorted by label (an event has a few).
+  std::vector<std::pair<EventId, double>> label_mass;
   // Aggregate SF by sensor and TF by window (Def. 4).  Records arrive
   // window-major, so TF adds append or accumulate onto the last key, while
   // SF adds revisit the event's sensors and mostly binary-search.  Each
@@ -91,21 +89,23 @@ AtypicalCluster BuildMicroCluster(const std::vector<AtypicalRecord>& records,
     const int day = grid.DayOfWindow(r.window);
     first_day = std::min(first_day, day);
     last_day = std::max(last_day, day);
-    if (r.true_event != kNoEvent)
-      label_mass[r.true_event] += static_cast<double>(r.severity_minutes);
+    if (r.true_event == kNoEvent) continue;
+    auto label = std::ranges::lower_bound(label_mass, r.true_event, {},
+                                          &std::pair<EventId, double>::first);
+    if (label == label_mass.end() || label->first != r.true_event) {
+      label = label_mass.insert(label, {r.true_event, 0.0});
+    }
+    label->second += static_cast<double>(r.severity_minutes);
   }
   cluster.first_day = first_day;
   cluster.last_day = last_day;
 
-  // Strict argmax by (mass, then smallest label).  Walk the labels in sorted
-  // order so the winner never depends on the map's hash layout.
-  std::vector<std::pair<EventId, double>> by_label(label_mass.begin(),
-                                                   label_mass.end());
-  std::sort(by_label.begin(), by_label.end());
+  // Strict argmax by mass; walking the labels in ascending order, a tie
+  // keeps the smaller label.
   EventId dominant = kNoEvent;
   double best = 0.0;
-  for (const auto& [label, mass] : by_label) {
-    if (mass > best || (mass == best && label < dominant)) {
+  for (const auto& [label, mass] : label_mass) {
+    if (mass > best) {
       dominant = label;
       best = mass;
     }

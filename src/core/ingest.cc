@@ -45,12 +45,13 @@ RobustStreamingEventBuilder::RobustStreamingEventBuilder(
     const SensorNetwork* network, const TimeGrid& grid,
     const RetrievalParams& params, ClusterIdGenerator* ids, EmitFn emit,
     const IngestOptions& options)
-    : network_(network),
-      grid_(grid),
-      options_(options),
-      builder_(network, grid, params, ids, std::move(emit)) {
-  CHECK_GE(options.lateness_horizon_windows, 0);
-}
+    : RobustStreamingEventBuilder(
+          network, grid, params, ids,
+          EmitSeqFn([inner = std::move(emit)](AtypicalCluster cluster,
+                                              uint64_t /*first_record_seq*/) {
+            inner(std::move(cluster));
+          }),
+          options) {}
 
 RobustStreamingEventBuilder::RobustStreamingEventBuilder(
     const SensorNetwork* network, const TimeGrid& grid,
@@ -59,45 +60,38 @@ RobustStreamingEventBuilder::RobustStreamingEventBuilder(
     : network_(network),
       grid_(grid),
       options_(options),
-      builder_(network, grid, params, ids, std::move(emit)) {
+      builder_(network, grid, params, ids, std::move(emit)),
+      newest_(static_cast<size_t>(network->num_sensors()), -1) {
   CHECK_GE(options.lateness_horizon_windows, 0);
 }
 
 RobustStreamingEventBuilder::~RobustStreamingEventBuilder() { PublishStats(); }
 
 void RobustStreamingEventBuilder::PublishStats() {
-  // Cached metric handles: one registry lookup per process, not per guard.
-  static obs::Counter* const records_in =
-      obs::Registry()->GetCounter("ingest.records_in");
-  static obs::Counter* const accepted =
-      obs::Registry()->GetCounter("ingest.accepted");
-  static obs::Counter* const reordered =
-      obs::Registry()->GetCounter("ingest.reordered");
-  static obs::Counter* const quarantined_unknown_sensor =
-      obs::Registry()->GetCounter("ingest.quarantined.unknown_sensor");
-  static obs::Counter* const quarantined_bad_severity =
-      obs::Registry()->GetCounter("ingest.quarantined.bad_severity");
-  static obs::Counter* const quarantined_excess_severity =
-      obs::Registry()->GetCounter("ingest.quarantined.excess_severity");
-  static obs::Counter* const quarantined_duplicate =
-      obs::Registry()->GetCounter("ingest.quarantined.duplicate");
-  static obs::Counter* const quarantined_late =
-      obs::Registry()->GetCounter("ingest.quarantined.late");
-
+  // Each counter with its cached metric handle: one registry lookup per
+  // process, not per guard.
+  static const std::pair<uint64_t IngestStats::*, obs::Counter*>
+      kMetrics[] = {
+      {&IngestStats::records_in,
+       obs::Registry()->GetCounter("ingest.records_in")},
+      {&IngestStats::accepted, obs::Registry()->GetCounter("ingest.accepted")},
+      {&IngestStats::reordered,
+       obs::Registry()->GetCounter("ingest.reordered")},
+      {&IngestStats::quarantined_unknown_sensor,
+       obs::Registry()->GetCounter("ingest.quarantined.unknown_sensor")},
+      {&IngestStats::quarantined_bad_severity,
+       obs::Registry()->GetCounter("ingest.quarantined.bad_severity")},
+      {&IngestStats::quarantined_excess_severity,
+       obs::Registry()->GetCounter("ingest.quarantined.excess_severity")},
+      {&IngestStats::quarantined_duplicate,
+       obs::Registry()->GetCounter("ingest.quarantined.duplicate")},
+      {&IngestStats::quarantined_late,
+       obs::Registry()->GetCounter("ingest.quarantined.late")}};
   // Deltas keep Flush + destructor (and repeated flushes) exact: the global
   // counters always total the per-instance IngestStats published so far.
-  records_in->Add(stats_.records_in - published_.records_in);
-  accepted->Add(stats_.accepted - published_.accepted);
-  reordered->Add(stats_.reordered - published_.reordered);
-  quarantined_unknown_sensor->Add(stats_.quarantined_unknown_sensor -
-                                  published_.quarantined_unknown_sensor);
-  quarantined_bad_severity->Add(stats_.quarantined_bad_severity -
-                                published_.quarantined_bad_severity);
-  quarantined_excess_severity->Add(stats_.quarantined_excess_severity -
-                                   published_.quarantined_excess_severity);
-  quarantined_duplicate->Add(stats_.quarantined_duplicate -
-                             published_.quarantined_duplicate);
-  quarantined_late->Add(stats_.quarantined_late - published_.quarantined_late);
+  for (const auto& [field, counter] : kMetrics) {
+    counter->Add(stats_.*field - published_.*field);
+  }
   published_ = stats_;
 }
 
@@ -120,21 +114,18 @@ QuarantineCause RobustStreamingEventBuilder::ClassifyFields(
 QuarantineCause RobustStreamingEventBuilder::Add(const AtypicalRecord& record) {
   ++stats_.records_in;
 
+  const int64_t window = record.window;
   QuarantineCause cause = ClassifyFields(record);
-  if (cause == QuarantineCause::kNone && has_watermark_) {
-    // Arrival-order checks (under kStrict the inner builder's order CHECK
-    // is the contract).  Late is checked before duplicate: a record too old
-    // for admission is refused as late even if it also repeats one, so
-    // every refusal maps to exactly one cause.
-    const uint64_t horizon =
-        static_cast<uint64_t>(options_.lateness_horizon_windows);
-    if (options_.policy == IngestPolicy::kBuffer &&
-        static_cast<uint64_t>(record.window) + horizon < watermark_) {
-      cause = QuarantineCause::kLate;
-    }
-  }
+  // Arrival-order checks (under kStrict the inner builder's order CHECK is
+  // the contract).  Late is checked before duplicate: a record too old for
+  // admission is refused as late even if it also repeats one, so every
+  // refusal maps to exactly one cause.
   if (cause == QuarantineCause::kNone &&
-      seen_.contains({record.window, record.sensor})) {
+      options_.policy == IngestPolicy::kBuffer &&
+      window + options_.lateness_horizon_windows < watermark_) {
+    cause = QuarantineCause::kLate;
+  }
+  if (cause == QuarantineCause::kNone && IsDuplicate(record)) {
     cause = QuarantineCause::kDuplicate;
   }
 
@@ -150,47 +141,75 @@ QuarantineCause RobustStreamingEventBuilder::Add(const AtypicalRecord& record) {
     return cause;
   }
 
-  const bool out_of_order = has_watermark_ && record.window < watermark_;
-  if (!has_watermark_ || record.window > watermark_) {
-    watermark_ = record.window;
-    has_watermark_ = true;
-  }
   ++stats_.accepted;
-  if (out_of_order) ++stats_.reordered;
-  seen_.insert({record.window, record.sensor});
+  if (window < watermark_) ++stats_.reordered;
+  watermark_ = std::max(watermark_, window);
+  newest_[record.sensor] = std::max(newest_[record.sensor], window);
 
-  if (options_.policy == IngestPolicy::kBuffer) {
-    buffer_.emplace(record.window, record);
-  } else {
-    Forward(record);
-  }
+  Slot& slot = Hold(record);
+  if (options_.policy == IngestPolicy::kStrict) Release(&slot);
   ReleaseAndPrune();
   DCHECK(stats_.Reconciles())
       << "accept left records_in != accepted + quarantined";
   return QuarantineCause::kNone;
 }
 
+bool RobustStreamingEventBuilder::IsDuplicate(
+    const AtypicalRecord& record) const {
+  const int64_t window = record.window;
+  const int64_t newest = newest_[record.sensor];
+  // The sensor's accepted windows are all at or below its stamp, and dedup
+  // covers [watermark - horizon, watermark] (kBuffer refused older records
+  // as late already).
+  if (window > newest ||
+      window + options_.lateness_horizon_windows < watermark_) {
+    return false;
+  }
+  if (window == newest) return true;
+  // Behind the sensor's newest window: scan that window's slot.
+  const auto slot =
+      std::ranges::lower_bound(slots_, record.window, {}, &Slot::window);
+  if (slot == slots_.end() || slot->window != record.window) return false;
+  for (uint32_t n = slot->head; n != kNil; n = held_[n].next) {
+    if (held_[n].record.sensor == record.sensor) return true;
+  }
+  return false;
+}
+
+RobustStreamingEventBuilder::Slot& RobustStreamingEventBuilder::Hold(
+    const AtypicalRecord& record) {
+  if (free_ == kNil) {  // grow the pool by one free node
+    CHECK_LT(held_.size(), size_t{kNil});
+    free_ = static_cast<uint32_t>(held_.size());
+    held_.emplace_back();
+  }
+  const uint32_t node = std::exchange(free_, held_[free_].next);
+  held_[node] = {record, kNil};
+  ++buffered_;
+  auto slot =
+      std::ranges::lower_bound(slots_, record.window, {}, &Slot::window);
+  if (slot == slots_.end() || slot->window != record.window) {
+    slot = slots_.insert(slot, Slot{record.window});
+  }
+  (slot->head == kNil ? slot->head : held_[slot->tail].next) = node;
+  slot->tail = node;
+  if (slot->unreleased == kNil) slot->unreleased = node;
+  return *slot;
+}
+
 void RobustStreamingEventBuilder::Quarantine(const AtypicalRecord& record,
                                              QuarantineCause cause) {
-  switch (cause) {
-    case QuarantineCause::kUnknownSensor:
-      ++stats_.quarantined_unknown_sensor;
-      break;
-    case QuarantineCause::kBadSeverity:
-      ++stats_.quarantined_bad_severity;
-      break;
-    case QuarantineCause::kExcessSeverity:
-      ++stats_.quarantined_excess_severity;
-      break;
-    case QuarantineCause::kDuplicate:
-      ++stats_.quarantined_duplicate;
-      break;
-    case QuarantineCause::kLate:
-      ++stats_.quarantined_late;
-      break;
-    case QuarantineCause::kNone:
-      CHECK(false) << "cannot quarantine an accepted record";
-  }
+  // Each cause's counter, in QuarantineCause order.
+  static constexpr uint64_t IngestStats::*kCounters[] = {
+      nullptr,
+      &IngestStats::quarantined_unknown_sensor,
+      &IngestStats::quarantined_bad_severity,
+      &IngestStats::quarantined_excess_severity,
+      &IngestStats::quarantined_duplicate,
+      &IngestStats::quarantined_late};
+  CHECK(cause != QuarantineCause::kNone)
+      << "cannot quarantine an accepted record";
+  ++(stats_.*kCounters[static_cast<size_t>(cause)]);
   quarantine_log_.push_back({record, cause});
   if (quarantine_log_.size() > kQuarantineLogCap) quarantine_log_.pop_front();
 }
@@ -200,28 +219,35 @@ void RobustStreamingEventBuilder::Forward(const AtypicalRecord& record) {
   builder_.Add(record);
 }
 
-void RobustStreamingEventBuilder::ReleaseAndPrune() {
-  const uint64_t horizon =
-      static_cast<uint64_t>(options_.lateness_horizon_windows);
-  // A buffered record at `w` is safe to release once no admissible future
-  // record can precede it, i.e. once w + horizon <= watermark (future
-  // arrivals are admitted only at window >= watermark - horizon).
-  while (!buffer_.empty() &&
-         static_cast<uint64_t>(buffer_.begin()->first) + horizon <=
-             watermark_) {
-    Forward(buffer_.begin()->second);
-    buffer_.erase(buffer_.begin());
-  }
-  // Dedup entries older than the admission bound can never collide again.
-  while (!seen_.empty() &&
-         static_cast<uint64_t>(seen_.begin()->first) + horizon < watermark_) {
-    seen_.erase(seen_.begin());
+void RobustStreamingEventBuilder::Release(Slot* slot) {
+  for (; slot->unreleased != kNil;
+       slot->unreleased = held_[slot->unreleased].next) {
+    --buffered_;
+    Forward(held_[slot->unreleased].record);
   }
 }
 
+void RobustStreamingEventBuilder::ReleaseAndPrune() {
+  const int64_t horizon = options_.lateness_horizon_windows;
+  // A buffered record at `w` is safe to release once no admissible future
+  // record can precede it, i.e. once w + horizon <= watermark (future
+  // arrivals are admitted only at window >= watermark - horizon).  Its
+  // window leaves the dedup range one window later.
+  ptrdiff_t expired = 0;
+  for (Slot& slot : slots_) {
+    if (slot.window + horizon > watermark_) break;
+    Release(&slot);
+    if (slot.window + horizon < watermark_) {  // its nodes go to free_
+      held_[slot.tail].next = free_;
+      free_ = slot.head;
+      ++expired;
+    }
+  }
+  slots_.erase(slots_.begin(), slots_.begin() + expired);
+}
+
 void RobustStreamingEventBuilder::Flush() {
-  for (const auto& [window, record] : buffer_) Forward(record);
-  buffer_.clear();
+  for (Slot& slot : slots_) Release(&slot);
   builder_.Flush();
   PublishStats();
 }
@@ -229,9 +255,11 @@ void RobustStreamingEventBuilder::Flush() {
 void RobustStreamingEventBuilder::Reset() {
   Flush();
   builder_.Reset();
-  seen_.clear();
-  watermark_ = 0;
-  has_watermark_ = false;
+  slots_.clear();
+  held_.clear();
+  free_ = kNil;
+  std::fill(newest_.begin(), newest_.end(), -1);
+  watermark_ = -1;
 }
 
 }  // namespace atypical

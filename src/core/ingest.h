@@ -18,19 +18,20 @@
 //   * every outcome lands in exactly one `IngestStats` counter, and the
 //     counters always reconcile with the number of records fed.
 //
-// The guard's state is bounded: the reorder buffer and the duplicate-
-// detection set only hold entries within the lateness horizon of the
-// watermark (the maximum accepted window so far).
+// The guard's state is bounded by the records it holds, never by the
+// horizon itself: one slot per window inside the lateness horizon of the
+// watermark (the maximum accepted window so far) keeps that window's
+// accepted records, which are both the reorder buffer and the duplicate-
+// detection set, plus one newest-accepted-window stamp per sensor.
 #ifndef ATYPICAL_CORE_INGEST_H_
 #define ATYPICAL_CORE_INGEST_H_
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/streaming.h"
 
@@ -131,7 +132,7 @@ class RobustStreamingEventBuilder {
 
   const IngestStats& stats() const { return stats_; }
   size_t open_events() const { return builder_.open_events(); }
-  size_t buffered() const { return buffer_.size(); }
+  size_t buffered() const { return buffered_; }
   const IngestOptions& options() const { return options_; }
 
   struct Quarantined {
@@ -148,10 +149,27 @@ class RobustStreamingEventBuilder {
   // Field validation independent of arrival order.
   QuarantineCause ClassifyFields(const AtypicalRecord& record) const;
   void Quarantine(const AtypicalRecord& record, QuarantineCause cause);
+  // A pooled accepted record, chained to the next of its window.
+  static constexpr uint32_t kNil = UINT32_MAX;
+  struct Held {
+    AtypicalRecord record;
+    uint32_t next = kNil;
+  };
+  // One window's accepted records in arrival order; `unreleased` is the
+  // first not yet forwarded to the inner builder (kNil: none).
+  struct Slot {
+    WindowId window = 0;
+    uint32_t head = kNil, tail = kNil, unreleased = kNil;
+  };
+  // Whether (window, sensor) was accepted within the dedup range.
+  bool IsDuplicate(const AtypicalRecord& record) const;
+  // Appends an accepted record to its window's slot (opened if needed).
+  Slot& Hold(const AtypicalRecord& record);
   // Forwards to the inner builder and the accept tap.
   void Forward(const AtypicalRecord& record);
+  void Release(Slot* slot);
   // Releases buffered records whose window can no longer be preceded by any
-  // future admissible record, and prunes expired duplicate-detection state.
+  // future admissible record, and forgets windows that left the dedup range.
   void ReleaseAndPrune();
   // Adds stats_ - published_ to the global registry and remembers the new
   // high-water mark; safe to call repeatedly.
@@ -163,12 +181,16 @@ class RobustStreamingEventBuilder {
   StreamingEventBuilder builder_;
   AcceptFn accept_tap_;
 
-  // Reorder buffer keyed by window (kBuffer only).
-  std::multimap<WindowId, AtypicalRecord> buffer_;
-  // Accepted (window, sensor) pairs within the horizon, for dedup.
-  std::set<std::pair<WindowId, SensorId>> seen_;
-  WindowId watermark_ = 0;  // max accepted window
-  bool has_watermark_ = false;
+  // Slots of the windows in [watermark - horizon, watermark] that hold
+  // accepted records, ascending: the reorder buffer and the dedup set.
+  // Forgotten nodes are chained from free_ and reused.
+  std::vector<Slot> slots_;
+  std::vector<Held> held_;
+  uint32_t free_ = kNil;
+  size_t buffered_ = 0;   // accepted records not yet released
+  // Per sensor, the newest window it had a record accepted at (-1: none).
+  std::vector<int64_t> newest_;
+  int64_t watermark_ = -1;  // max accepted window (-1: none yet)
   IngestStats stats_;
   IngestStats published_;  // portion of stats_ already in the obs registry
   std::deque<Quarantined> quarantine_log_;

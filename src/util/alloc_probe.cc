@@ -1,9 +1,9 @@
 // Global operator new/delete replacement backing util/alloc_probe.h.
 //
-// Every overload forwards to malloc/free and bumps a thread_local counter.
-// The counter must be trivially destructible (plain integer) so counting
-// stays safe during thread teardown, when allocations can still happen
-// after thread_local destructors have run.
+// Every overload forwards to malloc/free and bumps thread_local counters of
+// calls and requested bytes.  They must be trivially destructible (plain
+// integers) so counting stays safe during thread teardown, when
+// allocations can still happen after thread_local destructors have run.
 #include "util/alloc_probe.h"
 
 #include <cstdlib>
@@ -14,15 +14,18 @@ namespace util {
 namespace {
 
 thread_local uint64_t g_thread_alloc_count = 0;
+thread_local uint64_t g_thread_alloc_bytes = 0;
 
 void* CountedAlloc(size_t size) {
   ++g_thread_alloc_count;
+  g_thread_alloc_bytes += size;
   // Zero-size requests must still return a unique non-null pointer.
   return std::malloc(size == 0 ? 1 : size);
 }
 
 void* CountedAlignedAlloc(size_t size, size_t alignment) {
   ++g_thread_alloc_count;
+  g_thread_alloc_bytes += size;
   if (size == 0) size = alignment;
   // aligned_alloc requires the size to be a multiple of the alignment.
   const size_t rounded = (size + alignment - 1) / alignment * alignment;
@@ -32,6 +35,7 @@ void* CountedAlignedAlloc(size_t size, size_t alignment) {
 }  // namespace
 
 uint64_t ThreadAllocCount() { return g_thread_alloc_count; }
+uint64_t ThreadAllocBytes() { return g_thread_alloc_bytes; }
 
 }  // namespace util
 }  // namespace atypical

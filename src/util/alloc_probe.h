@@ -26,21 +26,27 @@
 namespace atypical {
 namespace util {
 
-// Total operator-new calls made by this thread since it started.  Monotone;
-// never reset.  Scoped deltas are what tests should assert on (AllocProbe).
+// Total operator-new calls made, and bytes requested, by this thread since
+// it started.  Monotone; never reset.  Scoped deltas are what tests should
+// assert on (AllocProbe).
 uint64_t ThreadAllocCount();
+uint64_t ThreadAllocBytes();
 
 // Counts this thread's heap allocations from construction to Count().
 class AllocProbe {
  public:
-  AllocProbe() : start_(ThreadAllocCount()) {}
+  AllocProbe()
+      : start_(ThreadAllocCount()), start_bytes_(ThreadAllocBytes()) {}
 
   // Allocations on this thread since the probe was constructed.  Probes
   // nest: an inner probe's Count() is included in the outer probe's.
   uint64_t Count() const { return ThreadAllocCount() - start_; }
+  // Bytes those allocations requested (frees are not subtracted).
+  uint64_t Bytes() const { return ThreadAllocBytes() - start_bytes_; }
 
  private:
   uint64_t start_;
+  uint64_t start_bytes_;
 };
 
 }  // namespace util
