@@ -9,9 +9,11 @@
 
 #include "analytics/report.h"
 #include "bench/bench_util.h"
+#include "core/forest.h"
 #include "core/integration.h"
 #include "core/significance.h"
 #include "core/temporal_key.h"
+#include "cube/hierarchy.h"
 #include "util/stopwatch.h"
 
 int main() {
@@ -29,7 +31,8 @@ int main() {
   const TimeGrid& grid = ctx->time_grid();
 
   Stopwatch materialize_timer;
-  ctx->forest->MaterializeWeeks();
+  const std::map<int, std::vector<AtypicalCluster>> weeks =
+      MaterializeLevel(*ctx->forest, cube::WeekOfDay, ctx->forest->ids());
   const double materialize_ms = materialize_timer.ElapsedMillis();
 
   Table table({"month", "day inputs", "from-days (ms)", "week inputs",
@@ -56,10 +59,10 @@ int main() {
     // Plan B: integrate the materialized week-level macro-clusters.
     std::vector<AtypicalCluster> week_inputs;
     for (int week = days.first_day / 7; week * 7 <= days.last_day; ++week) {
-      if (!ctx->forest->HasWeek(week)) continue;
-      for (const AtypicalCluster& macro : ctx->forest->MacrosOfWeek(week)) {
-        week_inputs.push_back(macro);
-      }
+      const auto it = weeks.find(week);
+      if (it == weeks.end()) continue;
+      week_inputs.insert(week_inputs.end(), it->second.begin(),
+                         it->second.end());
     }
     const size_t week_count = week_inputs.size();
     ClusterIdGenerator ids_b(1u << 21);

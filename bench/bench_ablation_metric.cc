@@ -13,6 +13,7 @@
 #include "core/event_retrieval.h"
 #include "core/forest.h"
 #include "core/significance.h"
+#include "cube/hierarchy.h"
 #include "gen/workload.h"
 
 int main() {
@@ -55,15 +56,22 @@ int main() {
       }
     }
 
-    forest.MaterializeMonths(workload->gen_config.days_per_month);
+    const int days_per_month = workload->gen_config.days_per_month;
+    const std::map<int, std::vector<AtypicalCluster>> month_level =
+        MaterializeLevel(
+            forest,
+            [days_per_month](int day) {
+              return cube::MonthOfDay(day, days_per_month);
+            },
+            forest.ids());
     const double threshold = SignificanceThreshold(
-        sig, DayRange{0, workload->gen_config.days_per_month - 1}, grid,
+        sig, DayRange{0, days_per_month - 1}, grid,
         workload->sensors->num_sensors());
     size_t macros = 0;
     size_t significant = 0;
     double top = 0.0;
-    for (int m : forest.MaterializedMonths()) {
-      for (const AtypicalCluster& c : forest.MacrosOfMonth(m)) {
+    for (const auto& [_, month_macros] : month_level) {
+      for (const AtypicalCluster& c : month_macros) {
         ++macros;
         if (IsSignificant(c, threshold)) ++significant;
         top = std::max(top, c.severity());

@@ -13,6 +13,7 @@
 #include "core/event_retrieval.h"
 #include "core/forest.h"
 #include "core/significance.h"
+#include "cube/hierarchy.h"
 #include "gen/workload.h"
 
 namespace {
@@ -46,14 +47,16 @@ Row Measure(const Workload& workload, int months, double delta_d,
   row.micro_per_day =
       static_cast<double>(forest.num_micro_clusters()) / days;
 
-  forest.MaterializeWeeks();
+  const std::map<int, std::vector<AtypicalCluster>> week_level =
+      MaterializeLevel(forest, cube::WeekOfDay, forest.ids());
   const double week_threshold =
       SignificanceThreshold(sig, DayRange{0, 6}, grid, n);
   int weeks = 0;
   for (int w = 0; w * 7 < days; ++w) {
-    if (!forest.HasWeek(w)) continue;
+    const auto it = week_level.find(w);
+    if (it == week_level.end()) continue;
     ++weeks;
-    for (const AtypicalCluster& c : forest.MacrosOfWeek(w)) {
+    for (const AtypicalCluster& c : it->second) {
       row.macro_week += 1;
       if (IsSignificant(c, week_threshold)) row.sig_week += 1;
     }
@@ -63,11 +66,18 @@ Row Measure(const Workload& workload, int months, double delta_d,
     row.sig_week /= weeks;
   }
 
-  forest.MaterializeMonths(workload.gen_config.days_per_month);
+  const int days_per_month = workload.gen_config.days_per_month;
+  const std::map<int, std::vector<AtypicalCluster>> month_level =
+      MaterializeLevel(
+          forest,
+          [days_per_month](int day) {
+            return cube::MonthOfDay(day, days_per_month);
+          },
+          forest.ids());
   const double month_threshold = SignificanceThreshold(
-      sig, DayRange{0, workload.gen_config.days_per_month - 1}, grid, n);
+      sig, DayRange{0, days_per_month - 1}, grid, n);
   for (int m = 0; m < months; ++m) {
-    for (const AtypicalCluster& c : forest.MacrosOfMonth(m)) {
+    for (const AtypicalCluster& c : month_level.at(m)) {
       row.macro_month += 1;
       if (IsSignificant(c, month_threshold)) row.sig_month += 1;
     }

@@ -5,7 +5,8 @@
 // strict streaming builder sees them.  This bench measures that overhead on
 // a clean feed against the raw builder, then shows the guard absorbing a
 // deterministically mangled feed (delayed, duplicated, corrupted records)
-// that would kill the raw builder outright.
+// that would kill the raw builder outright.  Each row is the median time of
+// five runs, each on a fresh builder.
 #include <vector>
 
 #include "analytics/report.h"
@@ -14,6 +15,7 @@
 #include "core/streaming.h"
 #include "gen/workload.h"
 #include "util/fault.h"
+#include "util/logging.h"
 
 namespace atypical {
 namespace {
@@ -57,6 +59,29 @@ RunResult RunGuarded(const Workload& workload, const TimeGrid& grid,
   return result;
 }
 
+// Runs `run` (one pass on a fresh builder) five times, CHECKs that every
+// pass gives the same counts and clusters, and keeps the median time.
+template <typename Run>
+RunResult MedianOfRuns(const Run& run) {
+  const RunResult first = run();
+  std::vector<double> seconds = {first.seconds};
+  for (int i = 1; i < 5; ++i) {
+    const RunResult again = run();
+    CHECK_EQ(again.clusters, first.clusters);
+    CHECK_EQ(again.stats.records_in, first.stats.records_in);
+    CHECK_EQ(again.stats.accepted, first.stats.accepted);
+    CHECK_EQ(again.stats.reordered, first.stats.reordered);
+    CHECK_EQ(again.stats.quarantined_duplicate,
+             first.stats.quarantined_duplicate);
+    CHECK_EQ(again.stats.quarantined_late, first.stats.quarantined_late);
+    CHECK_EQ(again.stats.quarantined(), first.stats.quarantined());
+    seconds.push_back(again.seconds);
+  }
+  RunResult result = first;
+  result.seconds = bench::MedianSeconds(std::move(seconds));
+  return result;
+}
+
 }  // namespace
 }  // namespace atypical
 
@@ -83,7 +108,14 @@ int main(int argc, char** argv) {
   mangled = plan.DuplicateRecords(mangled, 0.02);
   mangled = plan.CorruptRecords(mangled, 0.01, grid);
 
-  const RunResult raw = RunRaw(*workload, grid, params, clean);
+  const RunResult raw =
+      MedianOfRuns([&] { return RunRaw(*workload, grid, params, clean); });
+  const auto guarded = [&](const IngestOptions& options,
+                           const std::vector<AtypicalRecord>& records) {
+    return MedianOfRuns([&] {
+      return RunGuarded(*workload, grid, params, options, records);
+    });
+  };
 
   Table table({"configuration", "records in", "accepted", "quarantined",
                "clusters", "Mrec/s", "overhead"});
@@ -104,15 +136,11 @@ int main(int argc, char** argv) {
   add_row("raw builder (clean)", raw);
   const IngestOptions buffer{};  // kBuffer at the default horizon
   add_row("guard kStrict (clean)",
-          RunGuarded(*workload, grid, params,
-                     IngestOptions{IngestPolicy::kStrict}, clean));
+          guarded(IngestOptions{IngestPolicy::kStrict}, clean));
   add_row("guard kBuffer, horizon 0 (clean)",
-          RunGuarded(*workload, grid, params,
-                     IngestOptions{IngestPolicy::kBuffer, 0}, clean));
-  add_row("guard kBuffer (clean)",
-          RunGuarded(*workload, grid, params, buffer, clean));
-  const RunResult hostile =
-      RunGuarded(*workload, grid, params, buffer, mangled);
+          guarded(IngestOptions{IngestPolicy::kBuffer, 0}, clean));
+  add_row("guard kBuffer (clean)", guarded(buffer, clean));
+  const RunResult hostile = guarded(buffer, mangled);
   add_row("guard kBuffer (mangled)", hostile);
 
   bench::EmitTable("robust_ingest", table);

@@ -3,9 +3,7 @@
 #include <algorithm>
 
 #include "core/temporal_key.h"
-#include "cube/hierarchy.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 
 namespace atypical {
@@ -43,8 +41,7 @@ void AtypicalForest::AddDay(int day,
     // Late batch for an existing day: the new batch was clustered on its
     // own above; append its micro-clusters to a copy of the day's leaves.
     // Records split across batches are not re-joined at the leaf — query-
-    // time integration merges similar clusters — and materialized
-    // week/month levels are not refreshed automatically.
+    // time integration merges similar clusters.
     day_batches_merged->Add(1);
     micros.insert(micros.begin(), stored.micros->begin(), stored.micros->end());
   }
@@ -126,82 +123,6 @@ std::map<ClusterId, double> AtypicalForest::MicroSeverities(
   return out;
 }
 
-size_t AtypicalForest::MaterializeLevel(
-    const std::function<int(int)>& unit_of_day, Level* level) {
-  std::map<int, DayRange> units;
-  for (const auto& [day, _] : days_) {
-    auto [it, inserted] = units.emplace(unit_of_day(day), DayRange{day, day});
-    if (!inserted) {
-      it->second.first_day = std::min(it->second.first_day, day);
-      it->second.last_day = std::max(it->second.last_day, day);
-    }
-  }
-  level->macros.clear();
-  size_t built = 0;
-  for (const auto& [unit, range] : units) {
-    std::vector<AtypicalCluster> input;
-    for (const AtypicalCluster* micro : MicrosInRange(range)) {
-      input.push_back(WithTemporalKeyMode(*micro, grid_,
-                                          TemporalKeyMode::kTimeOfDay));
-    }
-    std::vector<AtypicalCluster> macros =
-        IntegrateClusters(std::move(input), params_.integration, &ids_);
-    built += macros.size();
-    level->macros.emplace(
-        unit, std::make_shared<Block::element_type>(std::move(macros)));
-  }
-  level->version = ++version_;
-  return built;
-}
-
-size_t AtypicalForest::MaterializeWeeks() {
-  static obs::Counter* const weeks_materialized =
-      obs::Registry()->GetCounter("forest.weeks_materialized");
-  static obs::Histogram* const seconds =
-      obs::Registry()->GetHistogram("forest.materialize_weeks_seconds");
-  obs::TraceSpan span(seconds);
-  const size_t built = MaterializeLevel(cube::WeekOfDay, &weeks_);
-  weeks_materialized->Add(weeks_.macros.size());
-  return built;
-}
-
-size_t AtypicalForest::MaterializeMonths(int days_per_month) {
-  CHECK_GT(days_per_month, 0);
-  static obs::Counter* const months_materialized =
-      obs::Registry()->GetCounter("forest.months_materialized");
-  static obs::Histogram* const seconds =
-      obs::Registry()->GetHistogram("forest.materialize_months_seconds");
-  obs::TraceSpan span(seconds);
-  const size_t built = MaterializeLevel(
-      [days_per_month](int day) {
-        return cube::MonthOfDay(day, days_per_month);
-      },
-      &months_);
-  months_materialized->Add(months_.macros.size());
-  return built;
-}
-
-const std::vector<AtypicalCluster>& AtypicalForest::MacrosOfWeek(
-    int week) const {
-  const auto it = weeks_.macros.find(week);
-  CHECK(it != weeks_.macros.end()) << "week " << week << " not materialized";
-  return *it->second;
-}
-
-const std::vector<AtypicalCluster>& AtypicalForest::MacrosOfMonth(
-    int month) const {
-  const auto it = months_.macros.find(month);
-  CHECK(it != months_.macros.end())
-      << "month " << month << " not materialized";
-  return *it->second;
-}
-
-std::vector<int> AtypicalForest::MaterializedMonths() const {
-  std::vector<int> months;
-  for (const auto& [month, _] : months_.macros) months.push_back(month);
-  return months;
-}
-
 void AtypicalForest::AdvanceIdsPast(
     const std::vector<AtypicalCluster>& clusters) {
   ClusterId max_id = 0;
@@ -228,18 +149,11 @@ uint64_t AtypicalForest::ByteSize() const {
     for (const AtypicalCluster& c : *block) bytes += c.ByteSize();
   };
   for (const auto& [_, day] : days_) add(day.micros);
-  for (const Level* level : {&weeks_, &months_}) {
-    for (const auto& [_, block] : level->macros) add(block);
-  }
   return bytes;
 }
 
 AtypicalForest AtypicalForest::EpochCopy(const AtypicalForest* previous,
                                          uint64_t* copied) const {
-  auto copy = [copied](const Block& block) {
-    ++*copied;
-    return std::make_shared<const std::vector<AtypicalCluster>>(*block);
-  };
   AtypicalForest epoch = *this;
   // Days are never removed, so `previous`'s days are a subset of these: one
   // walk in day order pairs each day with its previous version.
@@ -250,19 +164,38 @@ AtypicalForest AtypicalForest::EpochCopy(const AtypicalForest* previous,
     while (old != old_end && old->first < day) ++old;
     const bool unchanged = old != old_end && old->first == day &&
                            old->second.version == leaves.version;
-    leaves.micros = unchanged ? old->second.micros : copy(leaves.micros);
-  }
-  // A level shares its blocks unless it was re-materialized since.
-  for (Level AtypicalForest::*level :
-       {&AtypicalForest::weeks_, &AtypicalForest::months_}) {
-    Level& now = epoch.*level;
-    if (previous != nullptr && (previous->*level).version == now.version) {
-      now.macros = (previous->*level).macros;
+    if (unchanged) {
+      leaves.micros = old->second.micros;
     } else {
-      for (auto& [_, block] : now.macros) block = copy(block);
+      leaves.micros = std::make_shared<Block::element_type>(*leaves.micros);
+      ++*copied;
     }
   }
   return epoch;
+}
+
+std::map<int, std::vector<AtypicalCluster>> MaterializeLevel(
+    const AtypicalForest& forest, const std::function<int(int)>& unit_of_day,
+    ClusterIdGenerator* ids) {
+  std::map<int, DayRange> units;
+  for (int day : forest.Days()) {
+    auto [it, inserted] = units.emplace(unit_of_day(day), DayRange{day, day});
+    if (!inserted) {
+      it->second.first_day = std::min(it->second.first_day, day);
+      it->second.last_day = std::max(it->second.last_day, day);
+    }
+  }
+  std::map<int, std::vector<AtypicalCluster>> level;
+  for (const auto& [unit, range] : units) {
+    std::vector<AtypicalCluster> input;
+    for (const AtypicalCluster* micro : forest.MicrosInRange(range)) {
+      input.push_back(WithTemporalKeyMode(*micro, forest.time_grid(),
+                                          TemporalKeyMode::kTimeOfDay));
+    }
+    level.emplace(unit, IntegrateClusters(std::move(input),
+                                          forest.params().integration, ids));
+  }
+  return level;
 }
 
 }  // namespace atypical

@@ -1,10 +1,10 @@
-// The atypical forest (§III.C): per-day micro-clusters at the leaves,
-// optionally materialized weekly/monthly macro-cluster levels above them.
+// The atypical forest (§III.C): per-day micro-clusters at the leaves.
 //
 // The forest is the system's offline-constructed model.  Analytical queries
-// integrate leaf micro-clusters on demand (the paper's experiments
-// pre-compute only the daily micro-clusters); materialized levels exist for
-// larger deployments and are exercised by the materialization ablation.
+// integrate leaf micro-clusters on demand, as the paper's experiments do
+// (they pre-compute only the daily micro-clusters).  Week or month
+// macro-clusters above the leaves are built offline by MaterializeLevel and
+// are not part of the served model.
 #ifndef ATYPICAL_CORE_FOREST_H_
 #define ATYPICAL_CORE_FOREST_H_
 
@@ -59,8 +59,7 @@ class AtypicalForest {
   // than once: a later batch is clustered on its own and its micro-clusters
   // are appended to the day's leaf set.  Records split across batches are
   // not re-joined at the leaf — query-time integration merges similar
-  // clusters — and materialized week/month levels are not refreshed; call
-  // MaterializeWeeks/MaterializeMonths again after late batches.
+  // clusters.
   void AddDay(int day, const std::vector<AtypicalRecord>& records);
 
   // Groups `records` by day and adds each day (appending to days already
@@ -82,19 +81,6 @@ class AtypicalForest {
   // Micro-cluster severities by id over `range` (evaluation support).
   std::map<ClusterId, double> MicroSeverities(const DayRange& range) const;
 
-  // Materializes week-level macro-clusters (time-of-day TF keys) for every
-  // complete set of stored days in each week.  Re-materializing replaces the
-  // level.  Returns the number of macro-clusters built.
-  size_t MaterializeWeeks();
-  // Same per `days_per_month`-day month.
-  size_t MaterializeMonths(int days_per_month);
-
-  bool HasWeek(int week) const { return weeks_.macros.contains(week); }
-  const std::vector<AtypicalCluster>& MacrosOfWeek(int week) const;
-  bool HasMonth(int month) const { return months_.macros.contains(month); }
-  const std::vector<AtypicalCluster>& MacrosOfMonth(int month) const;
-  std::vector<int> MaterializedMonths() const;
-
   // Installs a day's pre-built micro-clusters directly, bypassing
   // retrieval (e.g. leaves finalized by an IncrementalIntegrator).  The id
   // generator is advanced past every installed cluster id and micro id so
@@ -114,33 +100,23 @@ class AtypicalForest {
   uint64_t ByteSize() const;
 
   // The forest of a published epoch (DESIGN §16), given the epoch copy made
-  // at the last publish (or nullptr).  Days and levels unchanged since then
-  // share its blocks; the rest are deep-copied, in day order, so this forest
+  // at the last publish (or nullptr).  Days unchanged since then share its
+  // blocks; the rest are deep-copied, in day order, so this forest
   // keeps its own.  Adds the number of blocks copied to `*copied`.
   AtypicalForest EpochCopy(const AtypicalForest* previous,
                            uint64_t* copied) const;
 
  private:
-  // A day's leaves, or a week's or month's macros.  Mutations swap in a new
-  // block and never write through one, so forest copies can share blocks.
+  // A day's leaves.  Mutations swap in a new block and never write through
+  // one, so forest copies can share blocks.
   using Block = std::shared_ptr<const std::vector<AtypicalCluster>>;
-  // Version stamps (DESIGN §16): version_ counts day mutations and
-  // materializations; a day or level carries the version of its last
-  // change, so EpochCopy shares exactly the blocks that kept theirs.
+  // Version stamps (DESIGN §16): version_ counts day mutations; a day
+  // carries the version of its last change, so EpochCopy shares exactly the
+  // blocks that kept theirs.
   struct Day {
     Block micros;
     uint64_t version = 0;  // of the day's last mutation
   };
-  struct Level {
-    std::map<int, Block> macros;  // by week or month
-    uint64_t version = 0;         // of the level's last materialization
-  };
-
-  // Replaces `level` with one block of macros per unit (week or month) of
-  // the stored days, each integrating its days' micros re-keyed to
-  // time-of-day, and stamps it.  Returns the number of macros built.
-  size_t MaterializeLevel(const std::function<int(int)>& unit_of_day,
-                          Level* level);
 
   // Moves the id generator past every id in `clusters`.
   void AdvanceIdsPast(const std::vector<AtypicalCluster>& clusters);
@@ -150,12 +126,19 @@ class AtypicalForest {
   ForestParams params_;
   ClusterIdGenerator ids_;
   std::map<int, Day> days_;
-  Level weeks_;
-  Level months_;
   std::map<int, DayProvenance> provenance_by_day_;
   size_t num_micros_ = 0;
   uint64_t version_ = 0;
 };
+
+// Offline materialization of one forest level (§III.C): for each unit of the
+// stored days (a week with cube::WeekOfDay, a month with cube::MonthOfDay),
+// in ascending unit order, integrates the unit's micro-clusters re-keyed to
+// time-of-day, minting macro ids from `ids`.  The forest is not changed;
+// pass forest.ids() to continue its id sequence.
+std::map<int, std::vector<AtypicalCluster>> MaterializeLevel(
+    const AtypicalForest& forest, const std::function<int(int)>& unit_of_day,
+    ClusterIdGenerator* ids);
 
 }  // namespace atypical
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "obs/stats.h"
 #include "util/logging.h"
@@ -210,8 +211,23 @@ void RobustStreamingEventBuilder::Quarantine(const AtypicalRecord& record,
   CHECK(cause != QuarantineCause::kNone)
       << "cannot quarantine an accepted record";
   ++(stats_.*kCounters[static_cast<size_t>(cause)]);
-  quarantine_log_.push_back({record, cause});
-  if (quarantine_log_.size() > kQuarantineLogCap) quarantine_log_.pop_front();
+  if (quarantine_log_.size() < kQuarantineLogCap) {
+    if (quarantine_log_.empty()) quarantine_log_.reserve(kQuarantineLogCap);
+    quarantine_log_.push_back({record, cause});
+  } else {
+    quarantine_log_[quarantine_oldest_] = {record, cause};
+    quarantine_oldest_ = (quarantine_oldest_ + 1) % kQuarantineLogCap;
+  }
+}
+
+std::vector<RobustStreamingEventBuilder::Quarantined>
+RobustStreamingEventBuilder::quarantine_log() const {
+  std::vector<Quarantined> log;
+  log.reserve(quarantine_log_.size());
+  std::ranges::rotate_copy(quarantine_log_,
+                           quarantine_log_.begin() + quarantine_oldest_,
+                           std::back_inserter(log));
+  return log;
 }
 
 void RobustStreamingEventBuilder::Forward(const AtypicalRecord& record) {

@@ -27,7 +27,6 @@
 #define ATYPICAL_CORE_INGEST_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -139,11 +138,9 @@ class RobustStreamingEventBuilder {
     AtypicalRecord record;
     QuarantineCause cause = QuarantineCause::kNone;
   };
-  // Most recent quarantined records with their causes — a bounded debugging
-  // log (the counters in stats() are always exact).
-  const std::deque<Quarantined>& quarantine_log() const {
-    return quarantine_log_;
-  }
+  // Most recent quarantined records with their causes, oldest first — a
+  // bounded debugging log (the counters in stats() are always exact).
+  std::vector<Quarantined> quarantine_log() const;
 
  private:
   // Field validation independent of arrival order.
@@ -193,7 +190,10 @@ class RobustStreamingEventBuilder {
   int64_t watermark_ = -1;  // max accepted window (-1: none yet)
   IngestStats stats_;
   IngestStats published_;  // portion of stats_ already in the obs registry
-  std::deque<Quarantined> quarantine_log_;
+  // The quarantine log as a ring, reserved at the first quarantine; once
+  // full, quarantine_oldest_ indexes its oldest entry.
+  std::vector<Quarantined> quarantine_log_;
+  size_t quarantine_oldest_ = 0;
 };
 
 }  // namespace atypical

@@ -35,7 +35,7 @@ struct AnalyticalQuery {
 // First id handed to macro-clusters a query's integration creates.  Run()
 // draws from a query-local generator starting here instead of the forest's
 // shared one, so (a) the engine never mutates the forest — Run() is truly
-// const and safe against a concurrent materialization — and (b) the same
+// const and safe on a forest shared by concurrent readers — and (b) the same
 // query on the same forest state returns bit-identical results, ids
 // included, no matter how many queries ran before or alongside it (the
 // serving layer's served-equals-direct contract, DESIGN §16).  The base

@@ -2,7 +2,7 @@
 //
 // The batch pipeline queries a mutable AtypicalForest single-threaded; a
 // serving deployment has many reader threads answering Q(W, T) while the
-// ingest side keeps adding days and re-materializing levels.  The contract
+// ingest side keeps adding days.  The contract
 // here is epoch-swapped immutability:
 //
 //   * a ForestSnapshot is one frozen epoch — forest, region×day severity

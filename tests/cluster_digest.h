@@ -1,5 +1,5 @@
 // Order-sensitive digest of a block of clusters, for tests that check a
-// block stays unchanged: epoch sharing, and readers of served levels.
+// block stays unchanged across epochs or equals a reference block.
 #ifndef ATYPICAL_TESTS_CLUSTER_DIGEST_H_
 #define ATYPICAL_TESTS_CLUSTER_DIGEST_H_
 

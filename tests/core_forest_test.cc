@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 
 #include <gtest/gtest.h>
 
 #include "analytics/report.h"
 #include "cluster_digest.h"
+#include "core/temporal_key.h"
+#include "cube/hierarchy.h"
 #include "gen/workload.h"
 
 namespace atypical {
@@ -74,13 +77,12 @@ TEST_F(ForestTest, MicroSeveritiesMapMatchesClusters) {
   }
 }
 
-TEST_F(ForestTest, MaterializeWeeksBuildsMacros) {
+TEST_F(ForestTest, WeekLevelBuildsMacros) {
   forest_.AddRecords(records_);
-  const size_t built = forest_.MaterializeWeeks();
-  EXPECT_GT(built, 0u);
-  ASSERT_TRUE(forest_.HasWeek(0));
-  const auto& macros = forest_.MacrosOfWeek(0);
-  EXPECT_EQ(macros.size(), built);
+  const auto weeks = MaterializeLevel(forest_, cube::WeekOfDay, forest_.ids());
+  ASSERT_EQ(weeks.size(), 1u);
+  const std::vector<AtypicalCluster>& macros = weeks.at(0);
+  EXPECT_FALSE(macros.empty());
   // Macro severity mass equals micro mass (nothing lost in integration).
   double macro_total = 0.0;
   for (const AtypicalCluster& c : macros) {
@@ -95,12 +97,18 @@ TEST_F(ForestTest, MaterializeWeeksBuildsMacros) {
   EXPECT_LT(macros.size(), forest_.num_micro_clusters());
 }
 
-TEST_F(ForestTest, MaterializeMonthsBuildsTreeWithChildren) {
+TEST_F(ForestTest, MonthLevelBuildsTreeWithChildren) {
   forest_.AddRecords(records_);
-  forest_.MaterializeMonths(workload_->gen_config.days_per_month);
-  ASSERT_TRUE(forest_.HasMonth(0));
+  const int days_per_month = workload_->gen_config.days_per_month;
+  const auto months = MaterializeLevel(
+      forest_,
+      [days_per_month](int day) {
+        return cube::MonthOfDay(day, days_per_month);
+      },
+      forest_.ids());
+  ASSERT_TRUE(months.contains(0));
   bool any_merged = false;
-  for (const AtypicalCluster& c : forest_.MacrosOfMonth(0)) {
+  for (const AtypicalCluster& c : months.at(0)) {
     if (c.num_micros() > 1) {
       any_merged = true;
       // A merged macro records its immediate children (Fig. 10 tree).
@@ -112,22 +120,45 @@ TEST_F(ForestTest, MaterializeMonthsBuildsTreeWithChildren) {
   EXPECT_TRUE(any_merged);
 }
 
-TEST_F(ForestTest, RematerializationReplacesLevel) {
-  forest_.AddRecords(records_);
-  const size_t first = forest_.MaterializeWeeks();
-  const size_t second = forest_.MaterializeWeeks();
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(forest_.MacrosOfWeek(0).size(), second);
-}
-
 TEST_F(ForestTest, MultipleMonthsSpanWeeks) {
   forest_.AddRecords(records_);
   forest_.AddRecords(workload_->generator->GenerateMonthAtypical(1));
   EXPECT_EQ(forest_.Days().size(), 14u);
-  forest_.MaterializeWeeks();
-  EXPECT_TRUE(forest_.HasWeek(0));
-  EXPECT_TRUE(forest_.HasWeek(1));
-  EXPECT_FALSE(forest_.HasWeek(2));
+  const auto weeks = MaterializeLevel(forest_, cube::WeekOfDay, forest_.ids());
+  EXPECT_TRUE(weeks.contains(0));
+  EXPECT_TRUE(weeks.contains(1));
+  EXPECT_FALSE(weeks.contains(2));
+}
+
+// The level is its definition: per week, in ascending order, Algorithm 3
+// over the week's micros re-keyed to time-of-day, drawing ids from the
+// generator passed in.  The forest itself is left as it was.
+TEST_F(ForestTest, LevelIsIntegrationOfRekeyedMicros) {
+  forest_.AddRecords(records_);
+  forest_.AddRecords(workload_->generator->GenerateMonthAtypical(1));
+  const uint64_t bytes = forest_.ByteSize();
+  ClusterIdGenerator level_ids = *forest_.ids();
+  ClusterIdGenerator reference_ids = *forest_.ids();
+  const auto weeks = MaterializeLevel(forest_, cube::WeekOfDay, &level_ids);
+  ASSERT_EQ(weeks.size(), 2u);
+  for (const auto& [week, macros] : weeks) {
+    std::vector<AtypicalCluster> input;
+    for (const AtypicalCluster* micro :
+         forest_.MicrosInRange(DayRange{7 * week, 7 * week + 6})) {
+      input.push_back(WithTemporalKeyMode(*micro, forest_.time_grid(),
+                                          TemporalKeyMode::kTimeOfDay));
+    }
+    const std::vector<AtypicalCluster> expected = IntegrateClusters(
+        std::move(input), forest_.params().integration, &reference_ids);
+    ASSERT_EQ(macros.size(), expected.size()) << "week " << week;
+    EXPECT_EQ(Digest(macros), Digest(expected)) << "week " << week;
+    for (size_t i = 0; i < macros.size(); ++i) {
+      EXPECT_EQ(macros[i].left_child, expected[i].left_child);
+      EXPECT_EQ(macros[i].right_child, expected[i].right_child);
+    }
+  }
+  EXPECT_EQ(level_ids.Next(), reference_ids.Next());
+  EXPECT_EQ(forest_.ByteSize(), bytes);
 }
 
 TEST_F(ForestTest, ByteSizeGrowsWithData) {
@@ -140,14 +171,14 @@ TEST_F(ForestTest, ByteSizeGrowsWithData) {
 
 TEST_F(ForestTest, IdsAreSharedAndUnique) {
   forest_.AddRecords(records_);
-  forest_.MaterializeWeeks();
+  const auto weeks = MaterializeLevel(forest_, cube::WeekOfDay, forest_.ids());
   std::set<ClusterId> ids;
   for (int day : forest_.Days()) {
     for (const AtypicalCluster& c : forest_.MicrosOfDay(day)) {
       EXPECT_TRUE(ids.insert(c.id).second);
     }
   }
-  for (const AtypicalCluster& c : forest_.MacrosOfWeek(0)) {
+  for (const AtypicalCluster& c : weeks.at(0)) {
     // Macros that merged nothing keep their micro's id; merged ones are new.
     if (c.num_micros() > 1) {
       EXPECT_TRUE(ids.insert(c.id).second);
@@ -276,51 +307,6 @@ TEST_F(ForestTest, LateBatchDoesNotReachPublishedEpoch) {
   EXPECT_EQ(&e3.MicrosOfDay(2), &e1.MicrosOfDay(2));
 }
 
-// The same for the materialized levels: re-materializing replaces the
-// staging levels, not the blocks an epoch serves.
-TEST_F(ForestTest, RematerializeDoesNotReachPublishedEpoch) {
-  const int month_days = workload_->gen_config.days_per_month;
-  forest_.AddRecords(records_);
-  forest_.MaterializeWeeks();
-  forest_.MaterializeMonths(month_days);
-  uint64_t copied = 0;
-  const AtypicalForest e1 = forest_.EpochCopy(nullptr, &copied);
-  EXPECT_EQ(copied, 7u + 1u + 1u);  // 7 days, week 0, month 0
-  const uint64_t week = Digest(e1.MacrosOfWeek(0));
-  const uint64_t month = Digest(e1.MacrosOfMonth(0));
-  const ClusterId week_first_id = e1.MacrosOfWeek(0).front().id;
-
-  // Re-materializing with no day mutation in between still mints new ids,
-  // so the next epoch must copy the levels again.
-  forest_.MaterializeWeeks();
-  forest_.MaterializeMonths(month_days);
-  EXPECT_EQ(Digest(e1.MacrosOfWeek(0)), week);
-  EXPECT_EQ(Digest(e1.MacrosOfMonth(0)), month);
-  EXPECT_EQ(e1.MacrosOfWeek(0).front().id, week_first_id);
-
-  const AtypicalForest e2 = forest_.EpochCopy(&e1, &copied);
-  EXPECT_EQ(copied, 9u + 2u);  // days shared, both levels copied
-  EXPECT_EQ(Digest(e2.MacrosOfWeek(0)), Digest(forest_.MacrosOfWeek(0)));
-  EXPECT_NE(Digest(e2.MacrosOfWeek(0)), week);
-  EXPECT_EQ(Digest(e2.MacrosOfMonth(0)), Digest(forest_.MacrosOfMonth(0)));
-
-  const AtypicalForest e3 = forest_.EpochCopy(&e2, &copied);
-  EXPECT_EQ(copied, 11u);  // nothing changed
-  EXPECT_EQ(&e3.MacrosOfWeek(0), &e2.MacrosOfWeek(0));
-  EXPECT_EQ(&e3.MacrosOfMonth(0), &e2.MacrosOfMonth(0));
-
-  // Weeks alone, twice in a row with nothing else in between.
-  forest_.MaterializeWeeks();
-  const AtypicalForest e4 = forest_.EpochCopy(&e3, &copied);
-  forest_.MaterializeWeeks();
-  const AtypicalForest e5 = forest_.EpochCopy(&e4, &copied);
-  EXPECT_EQ(copied, 13u);  // the week level, twice
-  EXPECT_EQ(&e5.MacrosOfMonth(0), &e2.MacrosOfMonth(0));
-  EXPECT_NE(Digest(e4.MacrosOfWeek(0)), Digest(e3.MacrosOfWeek(0)));
-  EXPECT_NE(Digest(e5.MacrosOfWeek(0)), Digest(e4.MacrosOfWeek(0)));
-  EXPECT_EQ(Digest(e5.MacrosOfWeek(0)), Digest(forest_.MacrosOfWeek(0)));
-}
-
 TEST_F(ForestTest, DeathOnWrongDayRecords) {
   std::vector<AtypicalRecord> wrong = {records_.front()};
   const int actual_day =
@@ -330,8 +316,6 @@ TEST_F(ForestTest, DeathOnWrongDayRecords) {
 
 TEST_F(ForestTest, DeathOnMissingDayAccess) {
   EXPECT_DEATH((void)forest_.MicrosOfDay(0), "no micro-clusters");
-  EXPECT_DEATH((void)forest_.MacrosOfWeek(0), "not materialized");
-  EXPECT_DEATH((void)forest_.MacrosOfMonth(0), "not materialized");
 }
 
 }  // namespace

@@ -378,6 +378,7 @@ class Lockstep {
     product_.Flush();
     reference_.Flush();
     Compare();
+    CompareLogs();
   }
   void Reset() {
     product_.Reset();
@@ -431,13 +432,25 @@ class Lockstep {
     ASSERT_EQ(p.quarantined_excess_severity, r.quarantined_excess_severity);
     ASSERT_EQ(p.quarantined_duplicate, r.quarantined_duplicate);
     ASSERT_EQ(p.quarantined_late, r.quarantined_late);
-    ASSERT_EQ(product_.quarantine_log().size(),
-              reference_.quarantine_log().size());
-    if (!product_.quarantine_log().empty()) {
-      ASSERT_EQ(product_.quarantine_log().back().cause,
-                reference_.quarantine_log().back().cause);
-      ASSERT_EQ(Bits(product_.quarantine_log().back().record),
+    const std::vector<RobustStreamingEventBuilder::Quarantined> log =
+        product_.quarantine_log();
+    ASSERT_EQ(log.size(), reference_.quarantine_log().size());
+    if (!log.empty()) {
+      ASSERT_EQ(log.back().cause, reference_.quarantine_log().back().cause);
+      ASSERT_EQ(Bits(log.back().record),
                 Bits(reference_.quarantine_log().back().record));
+    }
+  }
+
+  // The whole quarantine log, oldest first, past the ring's wrap.
+  void CompareLogs() {
+    const std::vector<RobustStreamingEventBuilder::Quarantined> log =
+        product_.quarantine_log();
+    ASSERT_EQ(log.size(), reference_.quarantine_log().size());
+    for (size_t i = 0; i < log.size(); ++i) {
+      ASSERT_EQ(log[i].cause, reference_.quarantine_log()[i].cause) << i;
+      ASSERT_EQ(Bits(log[i].record), Bits(reference_.quarantine_log()[i].record))
+          << i;
     }
   }
 

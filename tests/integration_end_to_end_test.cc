@@ -8,6 +8,7 @@
 #include "analytics/ground_truth.h"
 #include "analytics/metrics.h"
 #include "analytics/report.h"
+#include "cube/hierarchy.h"
 #include "storage/reader.h"
 #include "storage/writer.h"
 #include "util/logging.h"
@@ -126,8 +127,8 @@ TEST_F(EndToEndTest, PruneTradesRecallForPrecision) {
 TEST_F(EndToEndTest, WeeklyQueriesAgreeWithWeekMacros) {
   // Integrating day micros online must conserve severity mass exactly as
   // offline materialization does.
-  forest_->MaterializeWeeks();
-  const auto& week0 = forest_->MacrosOfWeek(0);
+  const std::vector<AtypicalCluster> week0 =
+      MaterializeLevel(*forest_, cube::WeekOfDay, forest_->ids()).at(0);
   double offline_mass = 0.0;
   for (const AtypicalCluster& c : week0) offline_mass += c.severity();
 

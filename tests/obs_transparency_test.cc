@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "analytics/report.h"
+#include "core/forest.h"
 #include "core/query.h"
+#include "cube/hierarchy.h"
 #include "obs/snapshot.h"
 #include "obs/stats.h"
 
@@ -21,21 +23,24 @@ struct RunOutcome {
   size_t input_micro_clusters = 0;
   size_t forest_micros = 0;
   size_t forest_days = 0;
+  size_t week_macros = 0;
 };
 
 bool operator==(const RunOutcome& a, const RunOutcome& b) {
   return a.num_clusters == b.num_clusters && a.mass == b.mass &&
          a.threshold == b.threshold &&
          a.input_micro_clusters == b.input_micro_clusters &&
-         a.forest_micros == b.forest_micros && a.forest_days == b.forest_days;
+         a.forest_micros == b.forest_micros &&
+         a.forest_days == b.forest_days && a.week_macros == b.week_macros;
 }
 
-// Builds one tiny month, materializes weeks, answers the whole-area query
-// from the day leaves.  Deterministic per seed.
+// Builds one tiny month, materializes its week level, answers the
+// whole-area query from the day leaves.  Deterministic per seed.
 RunOutcome RunPipeline(uint64_t seed) {
   const auto ctx = analytics::BuildContext(
       WorkloadScale::kTiny, 1, analytics::DefaultForestParams(), seed);
-  ctx->forest->MaterializeWeeks();
+  const auto weeks =
+      MaterializeLevel(*ctx->forest, cube::WeekOfDay, ctx->forest->ids());
   const QueryEngine engine =
       ctx->MakeEngine(analytics::DefaultEngineOptions());
   const QueryResult result =
@@ -48,6 +53,7 @@ RunOutcome RunPipeline(uint64_t seed) {
   out.input_micro_clusters = result.cost.input_micro_clusters;
   out.forest_micros = ctx->forest->num_micro_clusters();
   out.forest_days = ctx->forest->Days().size();
+  for (const auto& [_, macros] : weeks) out.week_macros += macros.size();
   return out;
 }
 
@@ -76,11 +82,10 @@ TEST(ObsTransparencyTest, PipelineLeavesExpectedCounters) {
   const obs::StatsSnapshot snapshot = obs::Registry()->Snapshot();
 
   EXPECT_EQ(snapshot.CounterValue("forest.days_added"), outcome.forest_days);
-  EXPECT_EQ(snapshot.CounterValue("forest.weeks_materialized"), 1u);
   EXPECT_EQ(snapshot.CounterValue("query.runs"), 1u);
   EXPECT_EQ(snapshot.CounterValue("query.clusters_out"), outcome.num_clusters);
   EXPECT_GT(snapshot.CounterValue("retrieval.records_in"), 0u);
-  EXPECT_GE(snapshot.CounterValue("integration.runs"), 1u);
+  EXPECT_GE(snapshot.CounterValue("integration.runs"), 2u);  // week, query
 
   bool saw_query_seconds = false;
   for (const auto& h : snapshot.histograms) {

@@ -159,10 +159,10 @@ TEST_F(ServeSnapshotTest, SnapshotSurvivesServingForestMutation) {
   const AnalyticalQuery query = ctx_->WholeAreaQuery(7);
   const QueryResult before = snap->engine.Run(query, QueryStrategy::kGuided);
 
-  // Heavy staging churn after the publish: more data, re-materialization.
+  // Heavy staging churn after the publish: new days, then a late batch for
+  // every day the snapshot holds.
   StageMonth(*ctx_, 1, serving.get());
-  serving->staging_forest()->MaterializeWeeks();
-  serving->staging_forest()->MaterializeMonths(ctx_->days_per_month());
+  StageMonth(*ctx_, 0, serving.get());
   serving->PublishSnapshot();
 
   const QueryResult after = snap->engine.Run(query, QueryStrategy::kGuided);
