@@ -41,7 +41,7 @@ int main() {
     const DayRange days{month * ctx->days_per_month(),
                         (month + 1) * ctx->days_per_month() - 1};
     const double threshold = SignificanceThreshold(
-        sig, days, grid, ctx->network().num_sensors());
+        sig, days, ctx->network().num_sensors());
 
     // Plan A: integrate the day-level micro-clusters.
     std::vector<AtypicalCluster> day_inputs;

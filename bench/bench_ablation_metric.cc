@@ -65,7 +65,7 @@ int main() {
             },
             forest.ids());
     const double threshold = SignificanceThreshold(
-        sig, DayRange{0, days_per_month - 1}, grid,
+        sig, DayRange{0, days_per_month - 1},
         workload->sensors->num_sensors());
     size_t macros = 0;
     size_t significant = 0;

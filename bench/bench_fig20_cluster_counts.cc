@@ -39,7 +39,6 @@ Row Measure(const Workload& workload, int months, double delta_d,
     forest.AddRecords(workload.generator->GenerateMonthAtypical(m));
   }
   const int days = months * workload.gen_config.days_per_month;
-  const TimeGrid& grid = workload.gen_config.time_grid;
   const int n = workload.sensors->num_sensors();
   const SignificanceParams sig = analytics::DefaultSignificanceParams();
 
@@ -49,8 +48,7 @@ Row Measure(const Workload& workload, int months, double delta_d,
 
   const std::map<int, std::vector<AtypicalCluster>> week_level =
       MaterializeLevel(forest, cube::WeekOfDay, forest.ids());
-  const double week_threshold =
-      SignificanceThreshold(sig, DayRange{0, 6}, grid, n);
+  const double week_threshold = SignificanceThreshold(sig, DayRange{0, 6}, n);
   int weeks = 0;
   for (int w = 0; w * 7 < days; ++w) {
     const auto it = week_level.find(w);
@@ -75,7 +73,7 @@ Row Measure(const Workload& workload, int months, double delta_d,
           },
           forest.ids());
   const double month_threshold = SignificanceThreshold(
-      sig, DayRange{0, days_per_month - 1}, grid, n);
+      sig, DayRange{0, days_per_month - 1}, n);
   for (int m = 0; m < months; ++m) {
     for (const AtypicalCluster& c : month_level.at(m)) {
       row.macro_month += 1;

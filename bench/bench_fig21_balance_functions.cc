@@ -24,7 +24,7 @@ int main() {
   const TimeGrid grid = workload->gen_config.time_grid;
   const SignificanceParams sig = analytics::DefaultSignificanceParams();
   const double month_threshold = SignificanceThreshold(
-      sig, DayRange{0, workload->gen_config.days_per_month - 1}, grid,
+      sig, DayRange{0, workload->gen_config.days_per_month - 1},
       workload->sensors->num_sensors());
 
   // Micro-cluster retrieval does not depend on δsim/g: do it once per month.

@@ -1,12 +1,14 @@
 // Robustness ablation: cost of the fault-tolerant ingest guard.
 //
 // The guard (core/ingest.h) validates every record, deduplicates within the
-// lateness horizon, and — under kBuffer — reorders late arrivals before the
-// strict streaming builder sees them.  This bench measures that overhead on
-// a clean feed against the raw builder, then shows the guard absorbing a
+// lateness horizon, and reorders late arrivals before the strict streaming
+// builder sees them.  This bench measures that overhead on a clean feed
+// against the raw builder, then shows the guard absorbing a
 // deterministically mangled feed (delayed, duplicated, corrupted records)
 // that would kill the raw builder outright.  Each row is the median time of
-// five runs, each on a fresh builder.
+// five runs, each on a fresh builder; run k of every row comes before run
+// k + 1 of any row, so drift on the host hits all rows alike.
+#include <functional>
 #include <vector>
 
 #include "analytics/report.h"
@@ -31,8 +33,9 @@ RunResult RunRaw(const Workload& workload, const TimeGrid& grid,
                  const std::vector<AtypicalRecord>& records) {
   RunResult result;
   ClusterIdGenerator ids(1);
-  StreamingEventBuilder builder(workload.sensors.get(), grid, params, &ids,
-                                [&](AtypicalCluster) { ++result.clusters; });
+  StreamingEventBuilder builder(
+      workload.sensors.get(), grid, params, &ids,
+      [&](AtypicalCluster, uint64_t) { ++result.clusters; });
   bench::BenchTimer watch("robust_ingest.raw");
   for (const AtypicalRecord& r : records) builder.Add(r);
   builder.Flush();
@@ -50,7 +53,7 @@ RunResult RunGuarded(const Workload& workload, const TimeGrid& grid,
   ClusterIdGenerator ids(1);
   RobustStreamingEventBuilder guard(
       workload.sensors.get(), grid, params, &ids,
-      [&](AtypicalCluster) { ++result.clusters; }, options);
+      [&](AtypicalCluster, uint64_t) { ++result.clusters; }, options);
   bench::BenchTimer watch("robust_ingest.guard");
   for (const AtypicalRecord& r : records) guard.Add(r);
   guard.Flush();
@@ -59,27 +62,39 @@ RunResult RunGuarded(const Workload& workload, const TimeGrid& grid,
   return result;
 }
 
-// Runs `run` (one pass on a fresh builder) five times, CHECKs that every
-// pass gives the same counts and clusters, and keeps the median time.
-template <typename Run>
-RunResult MedianOfRuns(const Run& run) {
-  const RunResult first = run();
-  std::vector<double> seconds = {first.seconds};
-  for (int i = 1; i < 5; ++i) {
-    const RunResult again = run();
-    CHECK_EQ(again.clusters, first.clusters);
-    CHECK_EQ(again.stats.records_in, first.stats.records_in);
-    CHECK_EQ(again.stats.accepted, first.stats.accepted);
-    CHECK_EQ(again.stats.reordered, first.stats.reordered);
-    CHECK_EQ(again.stats.quarantined_duplicate,
-             first.stats.quarantined_duplicate);
-    CHECK_EQ(again.stats.quarantined_late, first.stats.quarantined_late);
-    CHECK_EQ(again.stats.quarantined(), first.stats.quarantined());
-    seconds.push_back(again.seconds);
+// A table row: its name and one pass on a fresh builder.
+struct Row {
+  const char* name;
+  std::function<RunResult()> run;
+};
+
+// Runs every row five times, interleaved, CHECKs that each row's passes
+// give the same counts and clusters, and keeps each row's median time.
+std::vector<RunResult> MedianOfInterleavedRuns(const std::vector<Row>& rows) {
+  std::vector<std::vector<RunResult>> runs(rows.size());
+  for (int k = 0; k < 5; ++k) {
+    for (size_t i = 0; i < rows.size(); ++i) runs[i].push_back(rows[i].run());
   }
-  RunResult result = first;
-  result.seconds = bench::MedianSeconds(std::move(seconds));
-  return result;
+  std::vector<RunResult> medians;
+  for (const std::vector<RunResult>& passes : runs) {
+    const RunResult& first = passes.front();
+    std::vector<double> seconds;
+    for (const RunResult& again : passes) {
+      CHECK_EQ(again.clusters, first.clusters);
+      CHECK_EQ(again.stats.records_in, first.stats.records_in);
+      CHECK_EQ(again.stats.accepted, first.stats.accepted);
+      CHECK_EQ(again.stats.reordered, first.stats.reordered);
+      CHECK_EQ(again.stats.quarantined_duplicate,
+               first.stats.quarantined_duplicate);
+      CHECK_EQ(again.stats.quarantined_late, first.stats.quarantined_late);
+      CHECK_EQ(again.stats.quarantined(), first.stats.quarantined());
+      seconds.push_back(again.seconds);
+    }
+    RunResult median = first;
+    median.seconds = bench::MedianSeconds(std::move(seconds));
+    medians.push_back(median);
+  }
+  return medians;
 }
 
 }  // namespace
@@ -108,14 +123,24 @@ int main(int argc, char** argv) {
   mangled = plan.DuplicateRecords(mangled, 0.02);
   mangled = plan.CorruptRecords(mangled, 0.01, grid);
 
-  const RunResult raw =
-      MedianOfRuns([&] { return RunRaw(*workload, grid, params, clean); });
-  const auto guarded = [&](const IngestOptions& options,
-                           const std::vector<AtypicalRecord>& records) {
-    return MedianOfRuns([&] {
-      return RunGuarded(*workload, grid, params, options, records);
-    });
+  const auto guarded = [&](IngestOptions options,
+                           const std::vector<AtypicalRecord>* records) {
+    return [&, options, records] {
+      return RunGuarded(*workload, grid, params, options, *records);
+    };
   };
+  const IngestOptions buffer{};  // the default horizon
+  const std::vector<Row> rows = {
+      {"raw builder (clean)",
+       [&] { return RunRaw(*workload, grid, params, clean); }},
+      {"guard, horizon 0 (clean)",
+       guarded(IngestOptions{.lateness_horizon_windows = 0}, &clean)},
+      {"guard (clean)", guarded(buffer, &clean)},
+      {"guard (mangled)", guarded(buffer, &mangled)},
+  };
+  const std::vector<RunResult> results = MedianOfInterleavedRuns(rows);
+  const RunResult& raw = results.front();
+  const RunResult& hostile = results.back();
 
   Table table({"configuration", "records in", "accepted", "quarantined",
                "clusters", "Mrec/s", "overhead"});
@@ -132,16 +157,7 @@ int main(int argc, char** argv) {
                   StrPrintf("%zu", r.clusters), StrPrintf("%.2f", mrps),
                   StrPrintf("%+.0f%%", overhead)});
   };
-
-  add_row("raw builder (clean)", raw);
-  const IngestOptions buffer{};  // kBuffer at the default horizon
-  add_row("guard kStrict (clean)",
-          guarded(IngestOptions{IngestPolicy::kStrict}, clean));
-  add_row("guard kBuffer, horizon 0 (clean)",
-          guarded(IngestOptions{IngestPolicy::kBuffer, 0}, clean));
-  add_row("guard kBuffer (clean)", guarded(buffer, clean));
-  const RunResult hostile = guarded(buffer, mangled);
-  add_row("guard kBuffer (mangled)", hostile);
+  for (size_t i = 0; i < rows.size(); ++i) add_row(rows[i].name, results[i]);
 
   bench::EmitTable("robust_ingest", table);
   std::printf("mangled feed health: %s\n",

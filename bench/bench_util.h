@@ -29,8 +29,7 @@ namespace bench {
 // Times a bench region through the same obs histograms the pipeline uses:
 // each measurement also lands in the "bench.<name>.seconds" histogram, so a
 // --stats-style snapshot of a bench run shows its timing distribution next
-// to the pipeline's own.  Under ATYPICAL_NO_STATS the histogram is a no-op
-// stub but the clock still runs, so the returned readings are unchanged.
+// to the pipeline's own.
 class BenchTimer {
  public:
   explicit BenchTimer(const std::string& name)

@@ -61,9 +61,7 @@ int Usage() {
 }
 
 // Renders the process-wide StatsSnapshot per --stats[=text|json], to stdout
-// or to --stats-out FILE.  No-op without --stats.  In an ATYPICAL_NO_STATS
-// build the snapshot is empty but still renders (valid empty JSON), so the
-// flag's contract is build-flavor independent.
+// or to --stats-out FILE.  No-op without --stats.
 int DumpStats(const FlagParser& flags) {
   if (!flags.Has("stats")) return 0;
   const std::string mode = flags.GetString("stats", "text");
@@ -161,6 +159,9 @@ int RunAnalyze(const FlagParser& flags) {
   const bool post_check = flags.GetBool("post-check", false);
   const std::string days_spec = flags.GetString("days", "");
   if (!flags.ok()) return Fail(flags.error());
+  if (!(delta_s >= 0.0)) {
+    return Fail(StrPrintf("--delta-s must be >= 0, got %g", delta_s));
+  }
 
   QueryStrategy strategy;
   if (strategy_name == "All") {
@@ -222,8 +223,13 @@ int RunAnalyze(const FlagParser& flags) {
   if (!days_spec.empty()) {
     const auto parts = StrSplit(days_spec, ':');
     if (parts.size() != 2) return Fail("--days expects A:B");
-    query.days = DayRange{static_cast<int>(ParseInt64(parts[0])),
-                          static_cast<int>(ParseInt64(parts[1]))};
+    const int64_t first = ParseInt64(parts[0]);
+    const int64_t last = ParseInt64(parts[1]);
+    if (first < 0 || last < 0 || first > INT32_MAX || last > INT32_MAX) {
+      return Fail("--days expects two day numbers in [0, 2147483647], got " +
+                  days_spec);
+    }
+    query.days = DayRange{static_cast<int>(first), static_cast<int>(last)};
     if (query.days.NumDays() <= 0) return Fail("--days range is empty");
   }
 
@@ -269,6 +275,10 @@ int RunIntegrate(const FlagParser& flags) {
   params.max_fixpoint_rounds = static_cast<uint64_t>(flags.GetInt(
       "max-rounds", static_cast<int64_t>(params.max_fixpoint_rounds)));
   if (!flags.ok()) return Fail(flags.error());
+  if (!(params.delta_sim > 0.0 && params.delta_sim <= 1.0)) {
+    return Fail(
+        StrPrintf("--delta-sim must be in (0, 1], got %g", params.delta_sim));
+  }
 
   const auto workload = MakeWorkload(*scale, seed);
   const TimeGrid grid = workload->gen_config.time_grid;

@@ -88,8 +88,7 @@ int main() {
   SignificanceParams sig;
   sig.delta_s = 0.02;
   const double threshold = SignificanceThreshold(
-      sig, DayRange{0, activity.days_per_month - 1}, activity.time_grid,
-      network.num_sensors());
+      sig, DayRange{0, activity.days_per_month - 1}, network.num_sensors());
   std::vector<const AtypicalCluster*> hot;
   for (const AtypicalCluster& c : patterns) {
     if (IsSignificant(c, threshold)) hot.push_back(&c);

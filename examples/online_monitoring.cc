@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   }
 
   IngestOptions ingest_options;
-  ingest_options.policy = IngestPolicy::kBuffer;
   FaultPlan feed_fault(2026);
 
   // One guard and one incremental integrator serve the whole run: records

@@ -55,7 +55,7 @@ int main() {
   // Def. 5: significant clusters for the whole month / whole area.
   const DayRange month{0, workload->gen_config.days_per_month - 1};
   const double threshold = SignificanceThreshold(
-      analytics::DefaultSignificanceParams(), month, grid,
+      analytics::DefaultSignificanceParams(), month,
       workload->sensors->num_sensors());
   const std::vector<AtypicalCluster> significant =
       FilterSignificant(macros, threshold);

@@ -58,10 +58,10 @@ int main() {
 
   std::printf(
       "\n===== monthly congestion report =====\n"
-      "query: whole area (%d sensors), %d days; guided clustering used\n"
+      "query: whole area (%d sensors), %lld days; guided clustering used\n"
       "%zu of %zu micro-clusters integrated (%zu red zones of %zu regions); "
       "%.1f ms\n",
-      report.num_sensors_in_w, month_query.days.NumDays(),
+      report.num_sensors_in_w, (long long)month_query.days.NumDays(),
       report.cost.input_micro_clusters, report.cost.micro_clusters_in_range,
       report.cost.red_zones, report.cost.regions_checked,
       report.cost.seconds * 1e3);

@@ -9,7 +9,6 @@ Usage:
     scripts/check_stats_schema.py STATS.json
         [--schema scripts/stats_schema.json]
         [--require-counter NAME]...   # fail unless NAME is a counter > 0
-        [--expect-empty]              # fail unless every metric map is empty
 
 Exit status: 0 if the document conforms (and every extra expectation holds),
 1 otherwise, with one line per violation on stderr.
@@ -91,12 +90,6 @@ def main() -> int:
         metavar="NAME",
         help="fail unless counter NAME is present with a positive value",
     )
-    parser.add_argument(
-        "--expect-empty",
-        action="store_true",
-        help="fail unless counters/gauges/histograms are all empty "
-        "(ATYPICAL_NO_STATS builds)",
-    )
     args = parser.parse_args()
 
     try:
@@ -114,11 +107,6 @@ def main() -> int:
         for name in args.require_counter:
             if counters.get(name, 0) <= 0:
                 errors.append(f"$.counters.{name}: required counter missing or 0")
-        if args.expect_empty:
-            for section in ("counters", "gauges", "histograms"):
-                if document[section]:
-                    errors.append(f"$.{section}: expected empty, has "
-                                  f"{len(document[section])} entries")
 
     for error in errors:
         print(error, file=sys.stderr)

@@ -9,6 +9,13 @@
 namespace atypical {
 namespace analytics {
 
+namespace {
+// A report names this many of the cluster's most severe sensors.
+constexpr size_t kReportTopSensors = 3;
+// Onset = first time-of-day window reaching this fraction of the peak.
+constexpr double kOnsetFraction = 0.2;
+}  // namespace
+
 std::vector<DrilldownLeaf> ResolveLeaves(const AtypicalCluster& macro,
                                          const AtypicalForest& forest) {
   // Index the forest's leaves once per call; macro micro-id lists are small
@@ -55,8 +62,7 @@ std::vector<double> DailySeverityProfile(const AtypicalCluster& macro,
 
 ClusterReport BuildClusterReport(const AtypicalCluster& cluster,
                                  const SensorNetwork& network,
-                                 const TimeGrid& grid,
-                                 const ReportOptions& options) {
+                                 const TimeGrid& grid) {
   CHECK(cluster.key_mode == TemporalKeyMode::kTimeOfDay)
       << "reports read TF keys as times of day";
   ClusterReport report;
@@ -64,7 +70,7 @@ ClusterReport BuildClusterReport(const AtypicalCluster& cluster,
   report.severity = cluster.severity();
   report.num_sensors = cluster.num_sensors();
   report.num_days_active = cluster.last_day - cluster.first_day + 1;
-  report.top_sensors = cluster.spatial.TopEntries(options.top_sensors);
+  report.top_sensors = cluster.spatial.TopEntries(kReportTopSensors);
 
   if (!cluster.temporal.empty()) {
     const FeatureVector::Entry peak = cluster.temporal.Top();
@@ -73,7 +79,7 @@ ClusterReport BuildClusterReport(const AtypicalCluster& cluster,
     report.peak_share =
         report.severity > 0.0 ? peak.severity / report.severity : 0.0;
     for (const FeatureVector::Entry& e : cluster.temporal.entries()) {
-      if (e.severity >= options.onset_fraction * peak.severity) {
+      if (e.severity >= kOnsetFraction * peak.severity) {
         report.onset_minute_of_day =
             static_cast<int>(e.key) * grid.window_minutes();
         break;

@@ -53,17 +53,12 @@ struct ClusterReport {
   std::string summary;                            // one-line rendering
 };
 
-struct ReportOptions {
-  size_t top_sensors = 3;
-  // Onset = first time-of-day window reaching this fraction of the peak.
-  double onset_fraction = 0.2;
-};
-
-// Builds the report for a time-of-day-keyed cluster.
+// Builds the report for a time-of-day-keyed cluster: its 3 most severe
+// sensors, and as onset the first time-of-day window reaching 20% of the
+// peak window's severity.
 ClusterReport BuildClusterReport(const AtypicalCluster& cluster,
                                  const SensorNetwork& network,
-                                 const TimeGrid& grid,
-                                 const ReportOptions& options = {});
+                                 const TimeGrid& grid);
 
 // Renders reports for the `limit` most severe clusters as a Table
 // ("rank, severity, sensors, days, onset, peak, hottest sensor").

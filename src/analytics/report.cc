@@ -18,7 +18,6 @@ ForestParams DefaultForestParams() {
 SignificanceParams DefaultSignificanceParams() {
   SignificanceParams params;
   params.delta_s = 0.05;
-  params.unit = LengthUnit::kDays;
   return params;
 }
 
@@ -98,9 +97,9 @@ std::string SalvageHealthLine(const storage::SalvageReport& report) {
 std::string CompletenessLine(const DataCompleteness& completeness) {
   if (completeness.complete()) return "completeness: full";
   std::string line = StrPrintf(
-      "completeness: %d days in range, %d with data, %d degraded, "
+      "completeness: %lld days in range, %d with data, %d degraded, "
       "%llu records lost, %llu quarantined",
-      completeness.days_in_range, completeness.days_with_data,
+      (long long)completeness.days_in_range, completeness.days_with_data,
       completeness.days_degraded,
       (unsigned long long)completeness.records_lost,
       (unsigned long long)completeness.records_quarantined);

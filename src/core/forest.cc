@@ -1,6 +1,7 @@
 #include "core/forest.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/temporal_key.h"
 #include "obs/stats.h"
@@ -79,9 +80,13 @@ void AtypicalForest::RecordDayProvenance(int day,
   quarantined->Add(provenance.records_quarantined);
 }
 
-const DayProvenance* AtypicalForest::day_provenance(int day) const {
-  const auto it = provenance_by_day_.find(day);
-  return it == provenance_by_day_.end() ? nullptr : &it->second;
+AtypicalForest::ProvenanceRange AtypicalForest::ProvenanceInRange(
+    const DayRange& range) const {
+  if (range.NumDays() <= 0) {
+    return {provenance_by_day_.end(), provenance_by_day_.end()};
+  }
+  return {provenance_by_day_.lower_bound(range.first_day),
+          provenance_by_day_.upper_bound(range.last_day)};
 }
 
 std::vector<int> AtypicalForest::Days() const {
@@ -89,6 +94,12 @@ std::vector<int> AtypicalForest::Days() const {
   days.reserve(days_.size());
   for (const auto& [day, _] : days_) days.push_back(day);
   return days;
+}
+
+int AtypicalForest::NumDaysInRange(const DayRange& range) const {
+  if (range.NumDays() <= 0) return 0;
+  return static_cast<int>(std::distance(days_.lower_bound(range.first_day),
+                                        days_.upper_bound(range.last_day)));
 }
 
 const std::vector<AtypicalCluster>& AtypicalForest::MicrosOfDay(int day) const {

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <vector>
 
 #include "core/cluster.h"
@@ -69,6 +70,8 @@ class AtypicalForest {
   // Days present, ascending.
   std::vector<int> Days() const;
   bool HasDay(int day) const { return days_.contains(day); }
+  // Stored days in `range`.
+  int NumDaysInRange(const DayRange& range) const;
   const std::vector<AtypicalCluster>& MicrosOfDay(int day) const;
 
   // Leaf micro-clusters whose day falls in `range` (ascending day order).
@@ -92,9 +95,11 @@ class AtypicalForest {
   // per-batch and per-source tallies compose).  Recording a provenance with
   // damage bumps the degradation.* obs counters.
   void RecordDayProvenance(int day, const DayProvenance& provenance);
-  // Damage metadata for `day`, or nullptr when none was ever recorded
-  // (which a query reads as "no known loss").
-  const DayProvenance* day_provenance(int day) const;
+  // (day, damage metadata) for the days in `range` that have any recorded,
+  // ascending; a day without one reads as "no known loss".
+  using ProvenanceRange =
+      std::ranges::subrange<std::map<int, DayProvenance>::const_iterator>;
+  ProvenanceRange ProvenanceInRange(const DayRange& range) const;
 
   size_t num_micro_clusters() const { return num_micros_; }
   uint64_t ByteSize() const;

@@ -14,16 +14,6 @@ namespace {
 constexpr size_t kQuarantineLogCap = 256;
 }  // namespace
 
-const char* IngestPolicyName(IngestPolicy policy) {
-  switch (policy) {
-    case IngestPolicy::kStrict:
-      return "strict";
-    case IngestPolicy::kBuffer:
-      return "buffer";
-  }
-  return "unknown";
-}
-
 const char* QuarantineCauseName(QuarantineCause cause) {
   switch (cause) {
     case QuarantineCause::kNone:
@@ -41,18 +31,6 @@ const char* QuarantineCauseName(QuarantineCause cause) {
   }
   return "unknown";
 }
-
-RobustStreamingEventBuilder::RobustStreamingEventBuilder(
-    const SensorNetwork* network, const TimeGrid& grid,
-    const RetrievalParams& params, ClusterIdGenerator* ids, EmitFn emit,
-    const IngestOptions& options)
-    : RobustStreamingEventBuilder(
-          network, grid, params, ids,
-          EmitSeqFn([inner = std::move(emit)](AtypicalCluster cluster,
-                                              uint64_t /*first_record_seq*/) {
-            inner(std::move(cluster));
-          }),
-          options) {}
 
 RobustStreamingEventBuilder::RobustStreamingEventBuilder(
     const SensorNetwork* network, const TimeGrid& grid,
@@ -117,12 +95,10 @@ QuarantineCause RobustStreamingEventBuilder::Add(const AtypicalRecord& record) {
 
   const int64_t window = record.window;
   QuarantineCause cause = ClassifyFields(record);
-  // Arrival-order checks (under kStrict the inner builder's order CHECK is
-  // the contract).  Late is checked before duplicate: a record too old for
-  // admission is refused as late even if it also repeats one, so every
-  // refusal maps to exactly one cause.
+  // Arrival-order checks.  Late is checked before duplicate: a record too
+  // old for admission is refused as late even if it also repeats one, so
+  // every refusal maps to exactly one cause.
   if (cause == QuarantineCause::kNone &&
-      options_.policy == IngestPolicy::kBuffer &&
       window + options_.lateness_horizon_windows < watermark_) {
     cause = QuarantineCause::kLate;
   }
@@ -131,11 +107,6 @@ QuarantineCause RobustStreamingEventBuilder::Add(const AtypicalRecord& record) {
   }
 
   if (cause != QuarantineCause::kNone) {
-    CHECK(options_.policy != IngestPolicy::kStrict)
-        << "strict ingest refuses record: cause="
-        << QuarantineCauseName(cause) << " sensor=" << record.sensor
-        << " window=" << record.window
-        << " severity=" << record.severity_minutes;
     Quarantine(record, cause);
     DCHECK(stats_.Reconciles())
         << "quarantine left records_in != accepted + quarantined";
@@ -147,8 +118,7 @@ QuarantineCause RobustStreamingEventBuilder::Add(const AtypicalRecord& record) {
   watermark_ = std::max(watermark_, window);
   newest_[record.sensor] = std::max(newest_[record.sensor], window);
 
-  Slot& slot = Hold(record);
-  if (options_.policy == IngestPolicy::kStrict) Release(&slot);
+  Hold(record);
   ReleaseAndPrune();
   DCHECK(stats_.Reconciles())
       << "accept left records_in != accepted + quarantined";
@@ -159,13 +129,10 @@ bool RobustStreamingEventBuilder::IsDuplicate(
     const AtypicalRecord& record) const {
   const int64_t window = record.window;
   const int64_t newest = newest_[record.sensor];
-  // The sensor's accepted windows are all at or below its stamp, and dedup
-  // covers [watermark - horizon, watermark] (kBuffer refused older records
-  // as late already).
-  if (window > newest ||
-      window + options_.lateness_horizon_windows < watermark_) {
-    return false;
-  }
+  // The sensor's accepted windows are all at or below its stamp.  Add has
+  // refused records older than the dedup range [watermark - horizon,
+  // watermark] as late already.
+  if (window > newest) return false;
   if (window == newest) return true;
   // Behind the sensor's newest window: scan that window's slot.
   const auto slot =
@@ -177,8 +144,7 @@ bool RobustStreamingEventBuilder::IsDuplicate(
   return false;
 }
 
-RobustStreamingEventBuilder::Slot& RobustStreamingEventBuilder::Hold(
-    const AtypicalRecord& record) {
+void RobustStreamingEventBuilder::Hold(const AtypicalRecord& record) {
   if (free_ == kNil) {  // grow the pool by one free node
     CHECK_LT(held_.size(), size_t{kNil});
     free_ = static_cast<uint32_t>(held_.size());
@@ -195,7 +161,6 @@ RobustStreamingEventBuilder::Slot& RobustStreamingEventBuilder::Hold(
   (slot->head == kNil ? slot->head : held_[slot->tail].next) = node;
   slot->tail = node;
   if (slot->unreleased == kNil) slot->unreleased = node;
-  return *slot;
 }
 
 void RobustStreamingEventBuilder::Quarantine(const AtypicalRecord& record,

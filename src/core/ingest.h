@@ -9,12 +9,11 @@
 //   * malformed records — unknown sensor id, NaN/negative severity, severity
 //     exceeding the window length, duplicate (sensor, window) pairs — are
 //     quarantined and never reach the builder;
-//   * out-of-order records are handled per `IngestPolicy`: `kStrict` dies
-//     exactly like the raw builder, `kBuffer` holds records in a bounded
-//     reorder buffer spanning `lateness_horizon_windows` and releases them
-//     in window order, so a stream permuted within the horizon produces
-//     exactly the clean-stream events (tested against batch retrieval).
-//     At horizon 0 it quarantines every out-of-order record;
+//   * out-of-order records are held in a bounded reorder buffer spanning
+//     `lateness_horizon_windows` and released in window order, so a stream
+//     permuted within the horizon produces exactly the clean-stream events
+//     (tested against batch retrieval).  Records later than the horizon are
+//     quarantined; at horizon 0 that is every out-of-order record;
 //   * every outcome lands in exactly one `IngestStats` counter, and the
 //     counters always reconcile with the number of records fed.
 //
@@ -36,12 +35,9 @@
 
 namespace atypical {
 
-enum class IngestPolicy : int8_t {
-  kStrict,  // any quarantine verdict is fatal (the raw builder's contract)
-  kBuffer,  // records late by at most the horizon are reordered and kept
-};
-
-const char* IngestPolicyName(IngestPolicy policy);
+// Kept only so existing callers that spell `policy = kBuffer` still
+// compile; the guard has one policy, described above.
+enum class IngestPolicy : int8_t { kBuffer };
 
 // Why a record was refused; kNone means it was accepted.
 enum class QuarantineCause : int8_t {
@@ -56,10 +52,10 @@ enum class QuarantineCause : int8_t {
 const char* QuarantineCauseName(QuarantineCause cause);
 
 struct IngestOptions {
-  IngestPolicy policy = IngestPolicy::kBuffer;
+  IngestPolicy policy = IngestPolicy::kBuffer;  // see IngestPolicy
   // How many windows a record may lag behind the watermark and still be
-  // admitted under kBuffer.  Also bounds the reorder buffer and the
-  // duplicate-detection state.
+  // admitted.  Also bounds the reorder buffer and the duplicate-detection
+  // state.
   int lateness_horizon_windows = 4;
 };
 
@@ -85,21 +81,16 @@ struct IngestStats {
 
 class RobustStreamingEventBuilder {
  public:
-  using EmitFn = StreamingEventBuilder::EmitFn;
   using EmitSeqFn = StreamingEventBuilder::EmitSeqFn;
   // Observes every record actually released to the inner builder, in the
   // (non-decreasing window) order it is released.
   using AcceptFn = std::function<void(const AtypicalRecord&)>;
 
-  RobustStreamingEventBuilder(const SensorNetwork* network,
-                              const TimeGrid& grid,
-                              const RetrievalParams& params,
-                              ClusterIdGenerator* ids, EmitFn emit,
-                              const IngestOptions& options = {});
-  // Seq-carrying variant (see StreamingEventBuilder::EmitSeqFn): the seq is
-  // the event's earliest record's position in the *released* stream, i.e.
-  // the validated, window-ordered feed the accept tap observes — exactly
-  // the record numbering batch retrieval over the accepted records uses.
+  // `emit` receives each closed event's micro-cluster with a seq (see
+  // StreamingEventBuilder::EmitSeqFn): the event's earliest record's
+  // position in the *released* stream, i.e. the validated, window-ordered
+  // feed the accept tap observes — exactly the record numbering batch
+  // retrieval over the accepted records uses.
   RobustStreamingEventBuilder(const SensorNetwork* network,
                               const TimeGrid& grid,
                               const RetrievalParams& params,
@@ -115,8 +106,7 @@ class RobustStreamingEventBuilder {
   // only the validated stream).  Must be set before the first Add.
   void set_accept_tap(AcceptFn tap) { accept_tap_ = std::move(tap); }
 
-  // Feeds one record and returns the verdict (kNone = accepted).  Under
-  // kStrict any non-kNone verdict is fatal instead of returned.
+  // Feeds one record and returns the verdict (kNone = accepted).
   QuarantineCause Add(const AtypicalRecord& record);
 
   // Releases the reorder buffer in window order and closes all open events.
@@ -161,7 +151,7 @@ class RobustStreamingEventBuilder {
   // Whether (window, sensor) was accepted within the dedup range.
   bool IsDuplicate(const AtypicalRecord& record) const;
   // Appends an accepted record to its window's slot (opened if needed).
-  Slot& Hold(const AtypicalRecord& record);
+  void Hold(const AtypicalRecord& record);
   // Forwards to the inner builder and the accept tap.
   void Forward(const AtypicalRecord& record);
   void Release(Slot* slot);

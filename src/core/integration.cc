@@ -236,7 +236,7 @@ std::vector<AtypicalCluster> IntegrateClusters(
   // turn by rejecting i, neither has changed since, and the verdict is
   // symmetric bit for bit.  Every merged result re-scans from slot 0, so
   // the loop ends at the Algorithm 3 fixpoint ("until no clusters can be
-  // merged") — unless a round/deadline budget trips first, in which case
+  // merged") — unless the round budget trips first, in which case
   // the partition reached so far is returned as-is (valid, possibly
   // under-merged) and `converged` reports the truncation.
   bool converged = true;
@@ -254,10 +254,8 @@ std::vector<AtypicalCluster> IntegrateClusters(
     size_t start = i + 1;
     for (bool merged_any = true; merged_any;) {
       merged_any = false;
-      if ((params.max_fixpoint_rounds > 0 &&
-           fixpoint_rounds >= params.max_fixpoint_rounds) ||
-          (params.deadline_seconds > 0.0 &&
-           timer.ElapsedSeconds() >= params.deadline_seconds)) {
+      if (params.max_fixpoint_rounds > 0 &&
+          fixpoint_rounds >= params.max_fixpoint_rounds) {
         converged = false;
         break;
       }

@@ -31,13 +31,13 @@ namespace atypical {
 struct IntegrationParams {
   double delta_sim = 0.5;  // paper default
   BalanceFunction g = BalanceFunction::kArithmeticMean;  // paper default
-  // Degradation guards on the fixpoint loop (0 = unlimited).  When either
+  // Degradation guard on the fixpoint loop (0 = unlimited).  When the
   // budget trips, integration stops merging and returns the partition
-  // reached so far — a clean partial result, not an error.  The outcome is
-  // visible in IntegrationStats::converged and the
+  // reached so far — a clean partial result, not an error.  Rounds, unlike
+  // wall-clock time, make the partial partition the same on every host.
+  // The outcome is visible in IntegrationStats::converged and the
   // degradation.integration_partial counter.
   uint64_t max_fixpoint_rounds = 0;
-  double deadline_seconds = 0.0;
 };
 
 struct IntegrationStats {
@@ -51,9 +51,9 @@ struct IntegrationStats {
   uint64_t exact_scans = 0;
   uint64_t pruned_scans = 0;
   uint64_t fixpoint_rounds = 0;
-  // False when a max_fixpoint_rounds / deadline_seconds guard stopped the
-  // loop before the Algorithm 3 fixpoint: the output is a valid partition,
-  // but some mergeable pairs may remain unmerged.
+  // False when the max_fixpoint_rounds guard stopped the loop before the
+  // Algorithm 3 fixpoint: the output is a valid partition, but some
+  // mergeable pairs may remain unmerged.
   bool converged = true;
   double seconds = 0.0;
 };

@@ -60,7 +60,7 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
       network_->MarkSensorsInRect(query.area, &scratch->in_w);
   result.threshold =
       SignificanceThreshold(options_.significance, query.days,
-                            forest_->time_grid(), result.num_sensors_in_w);
+                            result.num_sensors_in_w);
 
   // Every leaf micro-cluster of T is a candidate; nothing is copied yet.
   std::vector<const AtypicalCluster*>& candidates = scratch->candidates;
@@ -125,17 +125,17 @@ QueryResult QueryEngine::Run(const AnalyticalQuery& query,
   }
 
   // Completeness annotation: fold the forest's per-day provenance over T so
-  // the caller can tell a quiet day from a blind one.
+  // the caller can tell a quiet day from a blind one.  Only stored days and
+  // recorded provenances are walked, never every day of T.
   DataCompleteness& completeness = result.completeness;
   completeness.days_in_range = query.days.NumDays();
   completeness.integration_converged = result.cost.integration.converged;
-  for (int day = query.days.first_day; day <= query.days.last_day; ++day) {
-    if (forest_->HasDay(day)) ++completeness.days_with_data;
-    const DayProvenance* provenance = forest_->day_provenance(day);
-    if (provenance == nullptr || !provenance->degraded()) continue;
+  completeness.days_with_data = forest_->NumDaysInRange(query.days);
+  for (const auto& [_, provenance] : forest_->ProvenanceInRange(query.days)) {
+    if (!provenance.degraded()) continue;
     ++completeness.days_degraded;
-    completeness.records_lost += provenance->records_lost;
-    completeness.records_quarantined += provenance->records_quarantined;
+    completeness.records_lost += provenance.records_lost;
+    completeness.records_quarantined += provenance.records_quarantined;
   }
 
   result.cost.seconds = timer.ElapsedSeconds();

@@ -64,12 +64,12 @@ struct QueryCost {
 // the ingest path recorded loss.  An empty result over a degraded range
 // means "we couldn't see", not "nothing happened".
 struct DataCompleteness {
-  int days_in_range = 0;
+  int64_t days_in_range = 0;
   int days_with_data = 0;      // days with stored micro-clusters
   int days_degraded = 0;       // days whose provenance records damage
   uint64_t records_lost = 0;   // summed over the range
   uint64_t records_quarantined = 0;
-  // False when the query's own integration hit its round/deadline budget
+  // False when the query's own integration hit its round budget
   // (IntegrationStats::converged): clusters may be under-merged.
   bool integration_converged = true;
 

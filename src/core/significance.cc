@@ -4,38 +4,11 @@
 
 namespace atypical {
 
-const char* LengthUnitName(LengthUnit unit) {
-  switch (unit) {
-    case LengthUnit::kDays:
-      return "days";
-    case LengthUnit::kMinutes:
-      return "minutes";
-    case LengthUnit::kWindows:
-      return "windows";
-  }
-  return "unknown";
-}
-
-double LengthOf(const DayRange& T, const TimeGrid& grid, LengthUnit unit) {
-  const double days = T.NumDays();
-  switch (unit) {
-    case LengthUnit::kDays:
-      return days;
-    case LengthUnit::kMinutes:
-      return days * 1440.0;
-    case LengthUnit::kWindows:
-      return days * grid.WindowsPerDay();
-  }
-  LOG(FATAL) << "unknown LengthUnit";
-  return 0.0;
-}
-
 double SignificanceThreshold(const SignificanceParams& params,
-                             const DayRange& T, const TimeGrid& grid,
-                             int num_sensors_in_w) {
+                             const DayRange& T, int num_sensors_in_w) {
   CHECK_GE(params.delta_s, 0.0);
   CHECK_GE(num_sensors_in_w, 0);
-  return params.delta_s * LengthOf(T, grid, params.unit) * num_sensors_in_w;
+  return params.delta_s * static_cast<double>(T.NumDays()) * num_sensors_in_w;
 }
 
 std::vector<AtypicalCluster> FilterSignificant(

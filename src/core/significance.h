@@ -1,15 +1,14 @@
 // Significant clusters (Def. 5).
 //
 // C is significant for query Q(W, T) iff
-//     severity(C) > δs · length(T) · N,       N = #sensors in W.
+//     severity(C) > δs · length(T) · N,       N = #sensors in W,
+// with length(T) in days.
 //
 // The paper leaves length(T)'s unit implicit; only day units make its own
 // figures mutually consistent (the atypical data is 2–5% of all sensor-time,
 // so with minute units no cluster could ever reach δs = 5% of
 // length(T)·N·window — yet Fig. 19 sweeps δs to 20% and still finds
-// significant clusters).  The unit is therefore explicit and configurable
-// here, with kDays as the default used by all reproduced experiments; see
-// EXPERIMENTS.md for the calibration argument.
+// significant clusters).  See EXPERIMENTS.md for the calibration argument.
 #ifndef ATYPICAL_CORE_SIGNIFICANCE_H_
 #define ATYPICAL_CORE_SIGNIFICANCE_H_
 
@@ -20,22 +19,13 @@
 
 namespace atypical {
 
-enum class LengthUnit : uint8_t { kDays, kMinutes, kWindows };
-
-const char* LengthUnitName(LengthUnit unit);
-
 struct SignificanceParams {
   double delta_s = 0.05;  // paper default 5%
-  LengthUnit unit = LengthUnit::kDays;
 };
 
-// length(T) in the configured unit.
-double LengthOf(const DayRange& T, const TimeGrid& grid, LengthUnit unit);
-
-// δs · length(T) · N.
+// δs · T.NumDays() · N.
 double SignificanceThreshold(const SignificanceParams& params,
-                             const DayRange& T, const TimeGrid& grid,
-                             int num_sensors_in_w);
+                             const DayRange& T, int num_sensors_in_w);
 
 inline bool IsSignificant(const AtypicalCluster& cluster, double threshold) {
   return cluster.severity() > threshold;

@@ -151,18 +151,6 @@ StreamingEventBuilder::StreamingEventBuilder(const SensorNetwork* network,
                                              const TimeGrid& grid,
                                              const RetrievalParams& params,
                                              ClusterIdGenerator* ids,
-                                             EmitFn emit)
-    : StreamingEventBuilder(
-          network, grid, params, ids,
-          EmitSeqFn([inner = std::move(emit)](AtypicalCluster cluster,
-                                              uint64_t /*first_record_seq*/) {
-            inner(std::move(cluster));
-          })) {}
-
-StreamingEventBuilder::StreamingEventBuilder(const SensorNetwork* network,
-                                             const TimeGrid& grid,
-                                             const RetrievalParams& params,
-                                             ClusterIdGenerator* ids,
                                              EmitSeqFn emit)
     : grid_(grid),
       ids_(ids),
@@ -199,7 +187,9 @@ std::vector<AtypicalCluster> StreamMicroClusters(
   std::vector<AtypicalCluster> out;
   StreamingEventBuilder builder(
       &network, grid, params, ids,
-      [&out](AtypicalCluster cluster) { out.push_back(std::move(cluster)); });
+      [&out](AtypicalCluster cluster, uint64_t /*first_record_seq*/) {
+        out.push_back(std::move(cluster));
+      });
   for (const AtypicalRecord& r : records) builder.Add(r);
   builder.Flush();
   return out;

@@ -103,21 +103,15 @@ class EventJoiner {
 class StreamingEventBuilder {
  public:
   // Called with the finished micro-cluster of each closed event, in closing
-  // order.
-  using EmitFn = std::function<void(AtypicalCluster)>;
-
-  // Seq-carrying variant: also receives the arrival index (0-based position
-  // in the fed stream) of the event's *earliest* record.  Closing order is
-  // not batch order — an event opened late can close before one opened
-  // early that keeps growing — but sorting emitted clusters by
-  // `first_record_seq` reproduces exactly the event order of batch
-  // `RetrieveEvents` (events ordered by smallest record index).  This is the
-  // seam `IncrementalIntegrator` uses for its streamed≡batch guarantee.
+  // order, and the arrival index (0-based position in the fed stream) of the
+  // event's *earliest* record.  Closing order is not batch order — an event
+  // opened late can close before one opened early that keeps growing — but
+  // sorting emitted clusters by `first_record_seq` reproduces exactly the
+  // event order of batch `RetrieveEvents` (events ordered by smallest record
+  // index).  This is the seam `IncrementalIntegrator` uses for its
+  // streamed≡batch guarantee; callers that need no order ignore the seq.
   using EmitSeqFn = std::function<void(AtypicalCluster, uint64_t)>;
 
-  StreamingEventBuilder(const SensorNetwork* network, const TimeGrid& grid,
-                        const RetrievalParams& params,
-                        ClusterIdGenerator* ids, EmitFn emit);
   StreamingEventBuilder(const SensorNetwork* network, const TimeGrid& grid,
                         const RetrievalParams& params,
                         ClusterIdGenerator* ids, EmitSeqFn emit);

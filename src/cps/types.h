@@ -118,8 +118,9 @@ struct DayRange {
   int first_day = 0;
   int last_day = -1;
 
-  int NumDays() const {
-    return last_day >= first_day ? last_day - first_day + 1 : 0;
+  // In 64 bits: {INT_MIN, INT_MAX} spans 2^32 days.
+  int64_t NumDays() const {
+    return last_day >= first_day ? int64_t{last_day} - first_day + 1 : 0;
   }
   bool ContainsDay(int day) const {
     return day >= first_day && day <= last_day;

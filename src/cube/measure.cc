@@ -48,9 +48,10 @@ void RegionDayMeasure::MergeFrom(const RegionDayMeasure& other) {
 
 double RegionDayMeasure::F(const std::vector<RegionId>& regions,
                            const DayRange& days) const {
+  const DayRange stored = StoredDays(days);
   double total = 0.0;
   for (RegionId region : regions) {
-    for (int day = days.first_day; day <= days.last_day; ++day) {
+    for (int day = stored.first_day; day <= stored.last_day; ++day) {
       total += RegionDaySeverity(region, day);
     }
   }

@@ -18,6 +18,7 @@
 #ifndef ATYPICAL_CUBE_MEASURE_H_
 #define ATYPICAL_CUBE_MEASURE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -47,6 +48,15 @@ class RegionDayMeasure {
   // Total severity F(W', T) for a set of regions and a day range
   // (the red-zone guidance measure; Property 4/5).
   double F(const std::vector<RegionId>& regions, const DayRange& days) const;
+
+  // `days` cut to the stored rows; every day cut off reads 0.0 everywhere,
+  // so a sum over the cut range equals the sum over `days` bit for bit.
+  DayRange StoredDays(const DayRange& days) const {
+    const int64_t last_row = static_cast<int64_t>(days_.size()) - 1;
+    return DayRange{
+        std::max(days.first_day, 0),
+        static_cast<int>(std::min<int64_t>(days.last_day, last_row))};
+  }
 
   // Severity of a single (region, day) cell; 0.0 outside the stored rows.
   double RegionDaySeverity(RegionId region, int day) const {

@@ -10,10 +10,11 @@ namespace cube {
 std::vector<RegionId> ComputeRedZones(const RegionDayMeasure& measure,
                                       const std::vector<RegionId>& regions_in_w,
                                       const DayRange& days, double threshold) {
+  const DayRange stored = measure.StoredDays(days);
   std::vector<RegionId> red;
   for (RegionId region : regions_in_w) {
     double f = 0.0;
-    for (int day = days.first_day; day <= days.last_day; ++day) {
+    for (int day = stored.first_day; day <= stored.last_day; ++day) {
       f += measure.RegionDaySeverity(region, day);
       if (f >= threshold) break;  // already qualifies
     }

@@ -1,10 +1,6 @@
 // StatsSnapshot: a point-in-time copy of a StatsRegistry, renderable as an
 // aligned text report or as JSON (schema: scripts/stats_schema.json,
 // validated in CI by scripts/check_stats_schema.py).
-//
-// The snapshot type itself is always real — an ATYPICAL_NO_STATS build
-// produces an empty snapshot that still renders valid (empty) JSON, so
-// `atypical_cli --stats=json` keeps its contract in both build flavors.
 #ifndef ATYPICAL_OBS_SNAPSHOT_H_
 #define ATYPICAL_OBS_SNAPSHOT_H_
 

@@ -26,8 +26,6 @@ int BucketLayout::BucketFor(double value) const {
   return num_buckets;  // overflow
 }
 
-#if ATYPICAL_STATS_ENABLED
-
 namespace {
 
 // fetch_add on atomic<double> needs only relaxed read-modify-write; a CAS
@@ -176,12 +174,6 @@ void StatsRegistry::Reset() {
     hist->max_.store(0.0, std::memory_order_relaxed);
   }
 }
-
-#else  // !ATYPICAL_STATS_ENABLED
-
-StatsSnapshot StatsRegistry::Snapshot() const { return StatsSnapshot{}; }
-
-#endif  // ATYPICAL_STATS_ENABLED
 
 StatsRegistry* Registry() {
   // Leaked on purpose: instrumented code in static destructors must still

@@ -16,10 +16,8 @@
 // use BucketLayout::Latency(); histograms of sizes/counts use
 // BucketLayout::Counts().
 //
-// Building with -DATYPICAL_NO_STATS=ON (CMake option) replaces everything
-// here with inline no-op stubs, so instrumentation compiles out entirely
-// while call sites stay untouched.  Results never depend on instrumentation
-// either way (asserted by obs_transparency_test and the stats-smoke CI job).
+// Results never depend on instrumentation (asserted by
+// obs_transparency_test and the stats-smoke CI job).
 #ifndef ATYPICAL_OBS_STATS_H_
 #define ATYPICAL_OBS_STATS_H_
 
@@ -31,12 +29,6 @@
 
 #include "util/sync.h"
 #include "util/thread_annotations.h"
-
-#ifdef ATYPICAL_NO_STATS
-#define ATYPICAL_STATS_ENABLED 0
-#else
-#define ATYPICAL_STATS_ENABLED 1
-#endif
 
 namespace atypical {
 namespace obs {
@@ -63,8 +55,6 @@ struct BucketLayout {
     return a.base == b.base && a.num_buckets == b.num_buckets;
   }
 };
-
-#if ATYPICAL_STATS_ENABLED
 
 // A monotonically increasing event count.  Lock-free.
 class Counter {
@@ -166,55 +156,6 @@ class StatsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       ATYPICAL_GUARDED_BY(mu_);
 };
-
-#else  // !ATYPICAL_STATS_ENABLED — inline no-op stubs, same surface.
-
-class Counter {
- public:
-  void Increment() {}
-  void Add(uint64_t) {}
-  uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void Set(int64_t) {}
-  void Add(int64_t) {}
-  int64_t value() const { return 0; }
-};
-
-class Histogram {
- public:
-  void Record(double) {}
-  uint64_t count() const { return 0; }
-  double sum() const { return 0.0; }
-  double max() const { return 0.0; }
-  uint64_t bucket_count(int) const { return 0; }
-  const BucketLayout& layout() const {
-    static const BucketLayout layout;
-    return layout;
-  }
-  double Quantile(double) const { return 0.0; }
-};
-
-class StatsRegistry {
- public:
-  Counter* GetCounter(const std::string&) { return &counter_; }
-  Gauge* GetGauge(const std::string&) { return &gauge_; }
-  Histogram* GetHistogram(const std::string&,
-                          const BucketLayout& = BucketLayout::Latency()) {
-    return &histogram_;
-  }
-  StatsSnapshot Snapshot() const;  // empty (defined in snapshot.h users' TU)
-  void Reset() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-#endif  // ATYPICAL_STATS_ENABLED
 
 // The process-wide registry every built-in instrumentation point writes to.
 StatsRegistry* Registry();

@@ -7,9 +7,7 @@
 //   }
 //
 // Stop() ends the span early and returns the elapsed seconds (once; later
-// calls return the same reading).  Under ATYPICAL_NO_STATS the histogram is
-// a no-op stub but the clock still runs, so Stop() keeps returning real
-// durations for callers that print them.
+// calls return the same reading).
 #ifndef ATYPICAL_OBS_TRACE_H_
 #define ATYPICAL_OBS_TRACE_H_
 

@@ -3,6 +3,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace atypical {
 
@@ -81,7 +82,9 @@ int64_t ParseInt64(std::string_view text) {
   int64_t value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return -1;
-    value = value * 10 + (c - '0');
+    const int digit = c - '0';
+    if (value > (std::numeric_limits<int64_t>::max() - digit) / 10) return -1;
+    value = value * 10 + digit;
   }
   return value;
 }

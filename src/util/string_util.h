@@ -32,7 +32,8 @@ std::string HumanBytes(uint64_t bytes);
 // clock-time labels for temporal features).
 std::string ClockLabel(int minute_of_day);
 
-// Parses a non-negative integer; returns -1 on malformed input.
+// Parses a non-negative integer; returns -1 on malformed input and on
+// values above INT64_MAX.
 int64_t ParseInt64(std::string_view text);
 
 // Parses a double; returns `fallback` on malformed input.

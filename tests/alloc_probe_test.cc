@@ -336,7 +336,7 @@ class IngestAllocTest : public ::testing::Test {
     return RobustStreamingEventBuilder(
         world_->sensors.get(), grid(),
         analytics::DefaultForestParams().retrieval, ids,
-        [](AtypicalCluster) {}, options);
+        [](AtypicalCluster, uint64_t) {}, options);
   }
 
   static Workload* world_;
@@ -371,7 +371,7 @@ TEST_F(IngestAllocTest, GuardAddsNoSteadyStateAllocations) {
   // A bare builder warmed the same way, fed the records the guard released.
   StreamingEventBuilder builder(world_->sensors.get(), grid(),
                                 analytics::DefaultForestParams().retrieval,
-                                &ids, [](AtypicalCluster) {});
+                                &ids, [](AtypicalCluster, uint64_t) {});
   for (size_t i = 0; i < warm_released; ++i) builder.Add(released[i]);
   builder.Reset();
   util::AllocProbe builder_probe;
@@ -399,7 +399,7 @@ TEST_F(IngestAllocTest, GuardMemoryDoesNotGrowWithTheHorizon) {
     util::AllocProbe probe;
     ClusterIdGenerator ids(1);
     RobustStreamingEventBuilder guard =
-        MakeGuard(&ids, IngestOptions{IngestPolicy::kBuffer, horizon});
+        MakeGuard(&ids, IngestOptions{.lateness_horizon_windows = horizon});
     for (const AtypicalRecord& r : MangledDay(1, 3)) guard.Add(r);
     guard.Flush();
     return probe.Bytes();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analytics/ground_truth.h"
 #include "analytics/report.h"
 #include "util/logging.h"
@@ -97,11 +99,10 @@ TEST_F(DrilldownTest, ReportAnswersExampleOneQuestions) {
 }
 
 TEST_F(DrilldownTest, ReportTopSensorsRespectLimit) {
-  ReportOptions options;
-  options.top_sensors = 2;
-  const ClusterReport report = BuildClusterReport(
-      *big_, ctx_->network(), ctx_->time_grid(), options);
-  EXPECT_LE(report.top_sensors.size(), 2u);
+  const ClusterReport report =
+      BuildClusterReport(*big_, ctx_->network(), ctx_->time_grid());
+  EXPECT_EQ(report.top_sensors.size(),
+            std::min<size_t>(3, static_cast<size_t>(big_->num_sensors())));
 }
 
 TEST_F(DrilldownTest, RenderTopClustersTable) {

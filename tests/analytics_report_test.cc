@@ -16,7 +16,6 @@ TEST(DefaultParamsTest, MatchPaperDefaults) {
 
   const SignificanceParams sig = DefaultSignificanceParams();
   EXPECT_DOUBLE_EQ(sig.delta_s, 0.05);
-  EXPECT_TRUE(sig.unit == LengthUnit::kDays);
 
   const QueryEngineOptions options = DefaultEngineOptions();
   EXPECT_FALSE(options.post_check_significance);

@@ -565,21 +565,6 @@ TEST(IntegrationTest, RoundBudgetReturnsValidPartialPartition) {
   EXPECT_NEAR(severity, 6 * 20.0, 1e-9);
 }
 
-TEST(IntegrationTest, DeadlineBudgetReportsTruncation) {
-  // An already-elapsed deadline trips before the first round; the output is
-  // the untouched input set.
-  Rng rng(23);
-  ClusterIdGenerator ids(1);
-  std::vector<AtypicalCluster> micros = RandomMicros(20, 6, rng, &ids);
-  IntegrationParams params;
-  params.deadline_seconds = 1e-12;
-  IntegrationStats stats;
-  const auto out = IntegrateClusters(micros, params, &ids, &stats);
-  EXPECT_FALSE(stats.converged);
-  EXPECT_EQ(out.size(), micros.size());
-  EXPECT_EQ(stats.merges, 0u);
-}
-
 TEST(IntegrationTest, DefaultBudgetsAreUnlimited) {
   Rng rng(29);
   ClusterIdGenerator ids(1);

@@ -3,6 +3,7 @@
 #include "core/query.h"
 
 #include <bit>
+#include <climits>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -176,6 +177,48 @@ TEST_F(QueryEngineTest, EmptyRangeYieldsEmptyResult) {
   const QueryResult result = Engine().Run(query, QueryStrategy::kAll);
   EXPECT_TRUE(result.clusters.empty());
   EXPECT_EQ(result.cost.input_micro_clusters, 0u);
+}
+
+// A range ending at INT_MAX, or spanning every int, walks only the stored
+// days: each strategy returns, All integrates exactly the stored days of T,
+// and days_in_range counts every day of T.
+TEST_F(QueryEngineTest, RangesToIntMaxWalkOnlyStoredDays) {
+  const int stored_days = 3 * ctx_->days_per_month();
+  struct Case {
+    DayRange days;
+    DayRange stored;
+    int64_t days_in_range;
+  };
+  for (const Case& c : {Case{{1, INT_MAX}, {1, stored_days - 1}, INT_MAX},
+                        Case{{INT_MIN, INT_MAX}, {0, stored_days - 1},
+                             int64_t{1} << 32}}) {
+    SCOPED_TRACE(testing::Message() << "days " << c.days.first_day << ".."
+                                    << c.days.last_day);
+    AnalyticalQuery query = ctx_->WholeAreaQuery(stored_days);
+    AnalyticalQuery stored_query = query;
+    query.days = c.days;
+    stored_query.days = c.stored;
+    const QueryResult expected =
+        Engine().Run(stored_query, QueryStrategy::kAll);
+    for (const QueryStrategy strategy :
+         {QueryStrategy::kAll, QueryStrategy::kPrune, QueryStrategy::kGuided}) {
+      const QueryResult result = Engine().Run(query, strategy);
+      EXPECT_EQ(result.completeness.days_in_range, c.days_in_range);
+      EXPECT_EQ(result.completeness.days_with_data,
+                expected.completeness.days_with_data);
+      EXPECT_EQ(result.cost.micro_clusters_in_range,
+                expected.cost.micro_clusters_in_range);
+      if (strategy != QueryStrategy::kAll) continue;
+      ASSERT_EQ(result.clusters.size(), expected.clusters.size());
+      for (size_t i = 0; i < result.clusters.size(); ++i) {
+        EXPECT_EQ(result.clusters[i].id, expected.clusters[i].id);
+        EXPECT_EQ(result.clusters[i].micro_ids, expected.clusters[i].micro_ids);
+        EXPECT_TRUE(result.clusters[i].spatial == expected.clusters[i].spatial);
+        EXPECT_TRUE(result.clusters[i].temporal ==
+                    expected.clusters[i].temporal);
+      }
+    }
+  }
 }
 
 // An empty or inverted day range covers no days: Run returns the

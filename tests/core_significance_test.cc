@@ -5,39 +5,25 @@
 namespace atypical {
 namespace {
 
-TEST(LengthOfTest, UnitsScaleAsExpected) {
-  const TimeGrid grid(15);
-  const DayRange week{0, 6};
-  EXPECT_DOUBLE_EQ(LengthOf(week, grid, LengthUnit::kDays), 7.0);
-  EXPECT_DOUBLE_EQ(LengthOf(week, grid, LengthUnit::kMinutes), 7.0 * 1440);
-  EXPECT_DOUBLE_EQ(LengthOf(week, grid, LengthUnit::kWindows), 7.0 * 96);
-}
-
-TEST(LengthOfTest, EmptyRangeIsZero) {
-  const TimeGrid grid(15);
-  EXPECT_DOUBLE_EQ(LengthOf(DayRange{3, 2}, grid, LengthUnit::kDays), 0.0);
-}
-
 TEST(SignificanceThresholdTest, Formula) {
   // δs · length(T) · N with the paper defaults (δs = 5%, day units).
   SignificanceParams params;
-  const TimeGrid grid(15);
-  EXPECT_DOUBLE_EQ(
-      SignificanceThreshold(params, DayRange{0, 13}, grid, 450),
-      0.05 * 14 * 450);
+  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{0, 13}, 450),
+                   0.05 * 14 * 450);
+  // An empty range has length 0.
+  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{3, 2}, 450), 0.0);
 }
 
 TEST(SignificanceThresholdTest, ScalesLinearlyInEachFactor) {
   SignificanceParams params;
   params.delta_s = 0.1;
-  const TimeGrid grid(15);
-  const double base = SignificanceThreshold(params, DayRange{0, 6}, grid, 100);
-  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{0, 13}, grid, 100),
+  const double base = SignificanceThreshold(params, DayRange{0, 6}, 100);
+  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{0, 13}, 100),
                    2 * base);
-  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{0, 6}, grid, 200),
+  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{0, 6}, 200),
                    2 * base);
   params.delta_s = 0.2;
-  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{0, 6}, grid, 100),
+  EXPECT_DOUBLE_EQ(SignificanceThreshold(params, DayRange{0, 6}, 100),
                    2 * base);
 }
 
@@ -63,19 +49,11 @@ TEST(FilterSignificantTest, KeepsOrderAndFilters) {
   EXPECT_EQ(sig[1].id, 3u);
 }
 
-TEST(LengthUnitNameTest, Names) {
-  EXPECT_STREQ(LengthUnitName(LengthUnit::kDays), "days");
-  EXPECT_STREQ(LengthUnitName(LengthUnit::kMinutes), "minutes");
-  EXPECT_STREQ(LengthUnitName(LengthUnit::kWindows), "windows");
-}
-
 TEST(SignificanceDeathTest, NegativeInputsDie) {
   SignificanceParams params;
   params.delta_s = -0.1;
-  const TimeGrid grid(15);
-  EXPECT_DEATH(
-      (void)SignificanceThreshold(params, DayRange{0, 6}, grid, 100),
-      "Check failed");
+  EXPECT_DEATH((void)SignificanceThreshold(params, DayRange{0, 6}, 100),
+               "Check failed");
 }
 
 }  // namespace

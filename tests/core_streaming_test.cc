@@ -96,7 +96,7 @@ TEST_F(StreamingTest, EmitsEventsAsTheyExpire) {
   ClusterIdGenerator ids(1);
   StreamingEventBuilder builder(
       workload_->sensors.get(), grid_, params_, &ids,
-      [&](AtypicalCluster c) { emitted.push_back(std::move(c)); });
+      [&](AtypicalCluster c, uint64_t) { emitted.push_back(std::move(c)); });
 
   builder.Add({sensor, grid_.MakeWindow(0, 10), 5.0f, kNoEvent});
   builder.Add({sensor, grid_.MakeWindow(0, 11), 5.0f, kNoEvent});
@@ -147,7 +147,7 @@ TEST_F(StreamingTest, BridgingRecordMergesOpenEvents) {
   ClusterIdGenerator ids(1);
   StreamingEventBuilder builder(
       workload_->sensors.get(), grid_, params_, &ids,
-      [&](AtypicalCluster c) { emitted.push_back(std::move(c)); });
+      [&](AtypicalCluster c, uint64_t) { emitted.push_back(std::move(c)); });
   const WindowId w = grid_.MakeWindow(0, 30);
   builder.Add({a, w, 5.0f, kNoEvent});
   builder.Add({b, w, 5.0f, kNoEvent});
@@ -168,7 +168,7 @@ TEST_F(StreamingTest, OpenStateStaysBounded) {
   size_t total = 0;
   StreamingEventBuilder builder(
       workload_->sensors.get(), grid_, params_, &ids,
-      [&](AtypicalCluster) { ++total; });
+      [&](AtypicalCluster, uint64_t) { ++total; });
   for (const AtypicalRecord& r : records) {
     builder.Add(r);
     max_open = std::max(max_open, builder.open_events());
@@ -184,8 +184,9 @@ TEST_F(StreamingTest, OpenStateStaysBounded) {
 TEST_F(StreamingTest, EmptyStreamFlushesNothing) {
   ClusterIdGenerator ids(1);
   size_t emitted = 0;
-  StreamingEventBuilder builder(workload_->sensors.get(), grid_, params_,
-                                &ids, [&](AtypicalCluster) { ++emitted; });
+  StreamingEventBuilder builder(
+      workload_->sensors.get(), grid_, params_, &ids,
+      [&](AtypicalCluster, uint64_t) { ++emitted; });
   builder.Flush();
   EXPECT_EQ(emitted, 0u);
   EXPECT_EQ(builder.records_seen(), 0u);
@@ -213,7 +214,7 @@ TEST_F(StreamingTest, FlushEmitsOpenEventsInDeterministicClosingOrder) {
     ClusterIdGenerator ids(1);
     StreamingEventBuilder builder(
         workload_->sensors.get(), grid_, params_, &ids,
-        [&](AtypicalCluster c) { emitted.push_back(std::move(c)); });
+        [&](AtypicalCluster c, uint64_t) { emitted.push_back(std::move(c)); });
     // Distinct severities identify which event is which.
     builder.Add({apart[0], w, 1.0f, kNoEvent});
     builder.Add({apart[1], w, 2.0f, kNoEvent});
@@ -239,7 +240,7 @@ TEST_F(StreamingTest, FlushAccountsForEveryRecordSeen) {
   ClusterIdGenerator ids(1);
   StreamingEventBuilder builder(
       workload_->sensors.get(), grid_, params_, &ids,
-      [&](AtypicalCluster c) {
+      [&](AtypicalCluster c, uint64_t) {
         emitted_records += static_cast<size_t>(c.num_records);
       });
   for (const AtypicalRecord& r : records) builder.Add(r);
@@ -256,7 +257,7 @@ TEST_F(StreamingTest, FlushAccountsForEveryRecordSeen) {
 TEST_F(StreamingTest, DiesOnOutOfOrderRecords) {
   ClusterIdGenerator ids(1);
   StreamingEventBuilder builder(workload_->sensors.get(), grid_, params_,
-                                &ids, [](AtypicalCluster) {});
+                                &ids, [](AtypicalCluster, uint64_t) {});
   builder.Add({0, grid_.MakeWindow(0, 20), 5.0f, kNoEvent});
   EXPECT_DEATH(builder.Add({0, grid_.MakeWindow(0, 19), 5.0f, kNoEvent}),
                "non-decreasing window order");
@@ -348,7 +349,7 @@ TEST_F(StreamingTest, FlushAloneDoesNotRearmForANewDay) {
   // window ids must die — Reset() is the supported path.
   ClusterIdGenerator ids(1);
   StreamingEventBuilder builder(workload_->sensors.get(), grid_, params_,
-                                &ids, [](AtypicalCluster) {});
+                                &ids, [](AtypicalCluster, uint64_t) {});
   builder.Add({0, grid_.MakeWindow(1, 10), 5.0f, kNoEvent});
   builder.Flush();
   EXPECT_DEATH(builder.Add({0, grid_.MakeWindow(0, 5), 5.0f, kNoEvent}),
@@ -365,7 +366,7 @@ TEST_F(StreamingTest, ResetServesConsecutiveDays) {
   ClusterIdGenerator ids(1);
   StreamingEventBuilder builder(
       workload_->sensors.get(), grid_, params_, &ids,
-      [&](AtypicalCluster c) { emitted.push_back(std::move(c)); });
+      [&](AtypicalCluster c, uint64_t) { emitted.push_back(std::move(c)); });
 
   for (const AtypicalRecord& r : day0) builder.Add(r);
   builder.Reset();

@@ -1,6 +1,7 @@
 #include "cube/cube.h"
 
 #include <bit>
+#include <climits>
 #include <cstdint>
 #include <set>
 
@@ -46,6 +47,9 @@ TEST_F(CubeTest, TotalSeverityConserved) {
     all_regions.push_back(r);
   }
   EXPECT_NEAR(cube.F(all_regions, DayRange{0, 6}), record_total, 1e-3);
+  // Days past the stored rows add nothing, bit for bit, and are not walked.
+  EXPECT_EQ(cube.F(all_regions, DayRange{INT_MIN, INT_MAX}),
+            cube.F(all_regions, DayRange{0, 6}));
 }
 
 TEST_F(CubeTest, FIsDistributiveOverDayPartitions) {

@@ -92,7 +92,7 @@ class DegradationEndToEndTest : public ::testing::Test {
       RobustStreamingEventBuilder guard(
           workload_->sensors.get(), grid_,
           analytics::DefaultForestParams().retrieval, built.forest->ids(),
-          [](AtypicalCluster) {});
+          [](AtypicalCluster, uint64_t) {});
       guard.set_accept_tap(
           [&](const AtypicalRecord& r) { accepted.push_back(r); });
       for (const AtypicalRecord& r : source.ExtractAtypicalRecords()) {
@@ -255,7 +255,7 @@ TEST_F(DegradationEndToEndTest, QuarantineShowsUpInCompleteness) {
     RobustStreamingEventBuilder guard(
         workload_->sensors.get(), grid_,
         analytics::DefaultForestParams().retrieval, built.forest->ids(),
-        [](AtypicalCluster) {});
+        [](AtypicalCluster, uint64_t) {});
     guard.set_accept_tap(
         [&](const AtypicalRecord& r) { accepted.push_back(r); });
     for (const AtypicalRecord& r : records) {

@@ -53,8 +53,7 @@ class RobustStreamingEventBuilder {
     if (cause == QuarantineCause::kNone && has_watermark_) {
       const uint64_t horizon =
           static_cast<uint64_t>(options_.lateness_horizon_windows);
-      if (options_.policy == IngestPolicy::kBuffer &&
-          static_cast<uint64_t>(record.window) + horizon < watermark_) {
+      if (static_cast<uint64_t>(record.window) + horizon < watermark_) {
         cause = QuarantineCause::kLate;
       }
     }
@@ -64,11 +63,6 @@ class RobustStreamingEventBuilder {
     }
 
     if (cause != QuarantineCause::kNone) {
-      CHECK(options_.policy != IngestPolicy::kStrict)
-          << "strict ingest refuses record: cause="
-          << QuarantineCauseName(cause) << " sensor=" << record.sensor
-          << " window=" << record.window
-          << " severity=" << record.severity_minutes;
       Quarantine(record, cause);
       return cause;
     }
@@ -82,11 +76,7 @@ class RobustStreamingEventBuilder {
     if (out_of_order) ++stats_.reordered;
     seen_.insert({record.window, record.sensor});
 
-    if (options_.policy == IngestPolicy::kBuffer) {
-      buffer_.emplace(record.window, record);
-    } else {
-      Forward(record);
-    }
+    buffer_.emplace(record.window, record);
     ReleaseAndPrune();
     return QuarantineCause::kNone;
   }

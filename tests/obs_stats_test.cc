@@ -1,10 +1,6 @@
 // Metrics registry + snapshot exporters.  The golden strings here are the
 // compatibility contract for `atypical_cli --stats=json` (and the CI schema
 // check); change them only together with kStatsSchemaVersion.
-//
-// The file compiles in both build flavors: under ATYPICAL_NO_STATS only the
-// stub-surface and empty-snapshot tests remain, pinning the "empty but still
-// valid" contract.
 #include "obs/stats.h"
 
 #include <gtest/gtest.h>
@@ -39,9 +35,7 @@ TEST(BucketLayoutTest, BucketForRoundTrips) {
   EXPECT_EQ(layout.BucketFor(1e12), layout.num_buckets);  // overflow
 }
 
-// The empty snapshot must render a valid (empty) JSON document in BOTH
-// build flavors — this is what keeps --stats=json working under
-// ATYPICAL_NO_STATS.
+// The empty snapshot must render a valid (empty) JSON document.
 TEST(SnapshotTest, EmptySnapshotGoldens) {
   const StatsSnapshot snapshot;
   EXPECT_TRUE(snapshot.empty());
@@ -58,22 +52,6 @@ TEST(SnapshotTest, EmptySnapshotGoldens) {
   EXPECT_EQ(snapshot.CounterValue("anything"), 0u);
 }
 
-TEST(StubSurfaceTest, RegistryAlwaysHandsOutUsableMetrics) {
-  // Identical call-site code must compile and run in both flavors.
-  StatsRegistry registry;
-  Counter* c = registry.GetCounter("surface.counter");
-  Gauge* g = registry.GetGauge("surface.gauge");
-  Histogram* h = registry.GetHistogram("surface.seconds");
-  ASSERT_NE(c, nullptr);
-  ASSERT_NE(g, nullptr);
-  ASSERT_NE(h, nullptr);
-  c->Increment();
-  g->Set(7);
-  h->Record(0.25);
-  registry.Reset();
-  SUCCEED();
-}
-
 TEST(TraceSpanTest, StopIsIdempotentAndClockAlwaysRuns) {
   StatsRegistry registry;
   Histogram* h = registry.GetHistogram("span.seconds");
@@ -81,14 +59,10 @@ TEST(TraceSpanTest, StopIsIdempotentAndClockAlwaysRuns) {
   const double first = span.Stop();
   EXPECT_GE(first, 0.0);
   EXPECT_EQ(span.Stop(), first);  // later calls return the same reading
-#if ATYPICAL_STATS_ENABLED
   EXPECT_EQ(h->count(), 1u);  // destructor must not double-record
-#endif
   TraceSpan unattached(nullptr);
   EXPECT_GE(unattached.Stop(), 0.0);
 }
-
-#if ATYPICAL_STATS_ENABLED
 
 TEST(CounterTest, AddAccumulates) {
   StatsRegistry registry;
@@ -230,22 +204,6 @@ TEST(ProcessRegistryTest, IsASingleton) {
   EXPECT_EQ(Registry(), Registry());
   EXPECT_NE(Registry(), nullptr);
 }
-
-#else  // !ATYPICAL_STATS_ENABLED
-
-TEST(NoStatsBuildTest, EverythingReadsZeroAndSnapshotsEmpty) {
-  StatsRegistry registry;
-  Counter* c = registry.GetCounter("c");
-  c->Add(100);
-  EXPECT_EQ(c->value(), 0u);  // writes vanish
-  Histogram* h = registry.GetHistogram("h");
-  h->Record(1.0);
-  EXPECT_EQ(h->count(), 0u);
-  EXPECT_TRUE(registry.Snapshot().empty());
-  EXPECT_TRUE(Registry()->Snapshot().empty());
-}
-
-#endif  // ATYPICAL_STATS_ENABLED
 
 }  // namespace
 }  // namespace obs

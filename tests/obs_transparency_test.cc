@@ -1,9 +1,8 @@
 // Instrumentation transparency: pipeline results are a pure function of
 // their inputs, never of the metrics registry's state.  Runs the same
 // forest-build + query twice while perturbing the registry in between and
-// demands bit-identical answers; in a stats build it additionally checks
-// the counters the run should have left behind, and under ATYPICAL_NO_STATS
-// that the registry stayed empty.
+// demands bit-identical answers, and checks the counters the run should have
+// left behind.
 #include <gtest/gtest.h>
 
 #include "analytics/report.h"
@@ -74,8 +73,6 @@ TEST(ObsTransparencyTest, ResultsUnchangedByRegistryState) {
   EXPECT_TRUE(first == third);
 }
 
-#if ATYPICAL_STATS_ENABLED
-
 TEST(ObsTransparencyTest, PipelineLeavesExpectedCounters) {
   obs::Registry()->Reset();
   const RunOutcome outcome = RunPipeline(23);
@@ -96,23 +93,6 @@ TEST(ObsTransparencyTest, PipelineLeavesExpectedCounters) {
   }
   EXPECT_TRUE(saw_query_seconds);
 }
-
-#else  // !ATYPICAL_STATS_ENABLED
-
-TEST(ObsTransparencyTest, RegistryStaysEmptyWithoutStats) {
-  (void)RunPipeline(23);  // warm-up: only the registry writes matter
-  const obs::StatsSnapshot snapshot = obs::Registry()->Snapshot();
-  EXPECT_TRUE(snapshot.empty());
-  EXPECT_EQ(snapshot.ToJson(),
-            "{\n"
-            "  \"schema_version\": 1,\n"
-            "  \"counters\": {},\n"
-            "  \"gauges\": {},\n"
-            "  \"histograms\": {}\n"
-            "}\n");
-}
-
-#endif  // ATYPICAL_STATS_ENABLED
 
 }  // namespace
 }  // namespace atypical

@@ -72,8 +72,7 @@ inline QueryAnswer RunQuery(const SensorNetwork& network,
   if (query.days.NumDays() <= 0) return answer;
   const std::vector<SensorId> in_w = network.SensorsInRect(query.area);
   answer.threshold = SignificanceThreshold(
-      options.significance, query.days, forest.time_grid(),
-      static_cast<int>(in_w.size()));
+      options.significance, query.days, static_cast<int>(in_w.size()));
 
   std::vector<AtypicalCluster> micros;
   for (const AtypicalCluster* micro : forest.MicrosInRange(query.days)) {

@@ -96,20 +96,18 @@ TEST_F(QueryServiceTest, PublishIsVisibleToNextRequest) {
   ExpectBitIdentical(*fresh.result,
                      fresh.snapshot->engine.Run(query, ServeStrategy::kAll));
 
-  // One request and one publish each leave exactly one mark (none in a
-  // no-stats build).
-  const uint64_t one = ATYPICAL_STATS_ENABLED ? 1 : 0;
+  // One request and one publish each leave exactly one mark.
   EXPECT_EQ(after_serve.CounterValue("serve.requests") -
                 before_serve.CounterValue("serve.requests"),
-            one);
+            1u);
   EXPECT_EQ(HistogramCount(after_serve, "serve.request_seconds") -
                 HistogramCount(before_serve, "serve.request_seconds"),
-            one);
+            1u);
   EXPECT_EQ(after_publish.CounterValue("serve.snapshot.publishes") -
                 after_serve.CounterValue("serve.snapshot.publishes"),
-            one);
+            1u);
   EXPECT_EQ(GaugeValue(after_publish, "serve.snapshot.epoch"),
-            ATYPICAL_STATS_ENABLED ? static_cast<int64_t>(epoch) : 0);
+            static_cast<int64_t>(epoch));
 }
 
 }  // namespace

@@ -119,7 +119,6 @@ TEST_F(StreamingEquivalenceTest, PermutedFeedMatchesBatchOnReleasedOrder) {
   for (const uint64_t seed : {3ull, 17ull, 99ull}) {
     FaultPlan plan(seed);
     IngestOptions options;
-    options.policy = IngestPolicy::kBuffer;
     options.lateness_horizon_windows = 6;
     const std::vector<AtypicalRecord> permuted = plan.DelayRecords(records, 6);
     const StreamedRun run = RunStreamed(permuted, integration, options);
@@ -141,7 +140,6 @@ TEST_F(StreamingEquivalenceTest, MangledFeedMatchesBatchOnSalvagedRecords) {
   feed = plan.CorruptRecords(std::move(feed), 0.08, grid_);
 
   IngestOptions options;
-  options.policy = IngestPolicy::kBuffer;
   options.lateness_horizon_windows = 4;
   IntegrationParams integration;
   const StreamedRun run = RunStreamed(feed, integration, options);

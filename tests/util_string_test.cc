@@ -73,6 +73,13 @@ TEST(ParseInt64Test, ParsesDigitsOnly) {
   EXPECT_EQ(ParseInt64("1.5"), -1);
 }
 
+TEST(ParseInt64Test, RejectsValuesPastInt64Max) {
+  EXPECT_EQ(ParseInt64("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseInt64("9223372036854775808"), -1);
+  EXPECT_EQ(ParseInt64("99999999999999999999"), -1);
+  EXPECT_EQ(ParseInt64("000000000000000000000042"), 42);
+}
+
 TEST(ParseDoubleTest, ParsesOrFallsBack) {
   EXPECT_DOUBLE_EQ(ParseDouble("1.5", -1.0), 1.5);
   EXPECT_DOUBLE_EQ(ParseDouble("-2", -1.0), -2.0);
